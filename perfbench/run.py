@@ -11,7 +11,7 @@ output against the generator's truth (see checks.py).  Interpreter start-up
 and imports are not timed; peak memory is each command process's own.
 
 With ``--trace 0`` the last line of standard output is the JSON result with
-the end-to-end metrics, medians over the rounds.  With ``--trace 1`` rounds
+the end-to-end metrics: throughputs over all rounds, the rest medians.  With ``--trace 1`` rounds
 alternate between untraced and traced, and the result holds the per-layer
 metrics (medians over traced rounds) and the tracing overhead.  The result
 is also written to ``.perfbench_out/`` at the root of the checkout.
@@ -223,8 +223,10 @@ def end_to_end(wl, rounds) -> dict:
     plain = [r for r in rounds if not r["traced"]]
 
     def rate(command, tokens):
-        return _median(tokens / r[command]["seconds"] for r in plain
-                       if r[command].get("seconds"))
+        # Tokens over seconds summed across rounds: with three to five
+        # rounds a run, this spreads less from run to run than the median.
+        seconds = [r[command]["seconds"] for r in plain if r[command].get("seconds")]
+        return tokens * len(seconds) / sum(seconds) if seconds else 0.0
 
     m = {
         "setup_s": (_median(p.get("seconds") for r in plain for p in r["probes"]), "s"),
