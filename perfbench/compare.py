@@ -1,15 +1,15 @@
 """Run two sets of benchmark runs of the same code and compare them.
 
-    python3 perfbench/compare.py [--runs 10] [--sets 2] [--workloads a,b] [--seconds S]
+    python3 perfbench/compare.py [--runs 10] [--workloads a,b]
 
-Each set runs every workload ``--runs`` times, each run with its own seed
-(the second set uses seeds after the first's).  For every end-to-end metric
-and workload it prints each set's median and quartiles, the spread (the
-distance between the quartiles as a share of the median), and whether the
-two sets agree: every spread but that of ``setup_s`` within the metric's
-bound, the second median no worse than the first by more than the bound,
-and the same share of failed operations in both sets.  Bounds and the run
-length come from BENCHMARK.json.  The full table is also written to
+Each of the two sets runs every workload ``--runs`` times, each run with its
+own seed: 1 to N in the first set, N+1 to 2N in the second.  For every
+end-to-end metric and workload it prints each set's median and quartiles,
+the spread (the distance between the quartiles as a share of the median),
+and whether the two sets agree: both spreads within the metric's bound, the
+second median no worse than the first by more than the bound, and the same
+share of failed operations in both sets.  Bounds and the run length come
+from BENCHMARK.json.  The full table is also written to
 ``.perfbench_out/compare.json``.
 """
 
@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SETS = 2
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -45,21 +46,18 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--sets", type=int, choices=(1, 2), default=2)
     p.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    p.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    p.add_argument("--first-seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.runs < 2:
         p.error("--runs must be at least 2 to have quartiles")
     workloads = args.workloads.split(",")
 
     results = {}  # (set, workload) -> list of run results
-    for s in range(args.sets):
+    for s in range(SETS):
         for w in workloads:
             for i in range(args.runs):
-                seed = args.first_seed + s * args.runs + i
-                r = run_once(w, seed, args.seconds)
+                seed = 1 + s * args.runs + i
+                r = run_once(w, seed, spec["run_seconds"])
                 results.setdefault((s, w), []).append(r)
                 values = " ".join(f"{k}={v['value']:.6g}" for k, v in r["metrics"].items())
                 print(f"set {s + 1} {w} seed {seed}: correct={r['correct']} "
@@ -68,34 +66,28 @@ def main(argv=None) -> int:
     table, agree_all = [], True
     for w in workloads:
         shares = [{Fraction(r["failed"], r["attempted"]) for r in results[(s, w)]}
-                  for s in range(args.sets)]
+                  for s in range(SETS)]
         same_share = len(set().union(*shares)) == 1
-        correct = all(r["correct"] for s in range(args.sets) for r in results[(s, w)])
+        correct = all(r["correct"] for s in range(SETS) for r in results[(s, w)])
         agree_all &= same_share and correct
         print(f"\n{w}: correct={correct} failed share "
               f"{' / '.join(str(sorted(sh)) for sh in shares)} same={same_share}")
         print(f"  {'metric':18} {'bound':>6} " + " ".join(
             f"{'median' + str(s + 1):>12} {'q1':>12} {'q3':>12} {'spread':>7}"
-            for s in range(args.sets)) + ("  shift   agree" if args.sets == 2 else ""))
+            for s in range(SETS)) + "  shift   agree")
         for m in spec["end_to_end"]:
             name, bound = m["name"], m["bound"]
             sums = [summary([r["metrics"][name]["value"] for r in results[(s, w)]])
-                    for s in range(args.sets)]
-            ok = all(x["spread"] <= bound for x in sums) or name == "setup_s"
-            row = {"workload": w, "metric": name, "bound": bound, "sets": sums}
-            line = f"  {name:18} {bound:6.3f} " + " ".join(
+                    for s in range(SETS)]
+            a, b = sums[0]["median"], sums[1]["median"]
+            worse = (b - a) / a if m["better"] == "lower" else (a - b) / a
+            ok = all(x["spread"] <= bound for x in sums) and worse <= bound
+            table.append({"workload": w, "metric": name, "bound": bound, "sets": sums,
+                          "worse_share": worse, "agree": ok})
+            print(f"  {name:18} {bound:6.3f} " + " ".join(
                 f"{x['median']:12.6g} {x['q1']:12.6g} {x['q3']:12.6g} {x['spread']:7.4f}"
-                for x in sums)
-            if args.sets == 2:
-                a, b = sums[0]["median"], sums[1]["median"]
-                worse = (b - a) / a if m["better"] == "lower" else (a - b) / a
-                ok = ok and worse <= bound
-                row["worse_share"] = worse
-                line += f"  {worse:+.4f} {'yes' if ok else 'NO'}"
-            row["agree"] = ok
+                for x in sums) + f"  {worse:+.4f} {'yes' if ok else 'NO'}")
             agree_all &= ok
-            table.append(row)
-            print(line)
     out = ROOT / ".perfbench_out"
     out.mkdir(exist_ok=True)
     (out / "compare.json").write_text(json.dumps(table, indent=1) + "\n", "utf-8")

@@ -3,18 +3,20 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Generates the workload's inputs from the seed, then repeats whole rounds
-for as long as the next one should end within S seconds (at least one).  A round runs, each in its own process through
-``hmmtagger.cli.main``: ``train``, four one-sentence ``tag`` runs (the
-set-up probe), ``tag`` on the held-out text, ``eval``, and on guess-raw-de a
-``tag`` of sentences with classes the model never saw.  It then checks every
-output against the generator's truth (see checks.py).  Interpreter start-up
-and imports are not timed; peak memory is each command process's own.
+for as long as the next one should end within S seconds (at least one).  A
+round runs, each in its own process through ``hmmtagger.cli.main``:
+``train``, two one-sentence ``tag`` runs (the set-up probe), ``tag`` on the
+held-out text, ``eval``, and on guess-raw-de a ``tag`` of sentences with
+classes the model never saw.  It then checks every output against the
+generator's truth (see checks.py).  Interpreter start-up and imports are not
+timed; peak memory is each command process's own.
 
 With ``--trace 0`` the last line of standard output is the JSON result with
-the end-to-end metrics: throughputs over all rounds, the rest medians.  With ``--trace 1`` rounds
-alternate between untraced and traced, and the result holds the per-layer
-metrics (medians over traced rounds) and the tracing overhead.  The result
-is also written to ``.perfbench_out/`` at the root of the checkout.
+the end-to-end metrics, each the median over the run's rounds or probes.
+With ``--trace 1`` rounds alternate between untraced and traced, and the
+result holds the per-layer metrics (medians over traced rounds) and the
+tracing overhead.  The result is also written to ``.perfbench_out/`` at the
+root of the checkout.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -40,9 +41,16 @@ import workloads
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-PROBES = 4  # set-up probes per round; setup_s is their median over the run
+PROBES = 2  # set-up probes per round; setup_s is their median over the run
 COMMAND_TIMEOUT_S = 150
 SAMPLE_TOKENS = 3000  # tokens of held-out text re-decoded by the score check
+# A shared virtual machine can change speed by nearly two times for minutes
+# at a time, and CPU time changes with it, so the medians of a run are
+# scaled by how fast the machine ran: every command's process times a fixed
+# reference loop around the command, and the times are scaled to a machine
+# on which that loop takes REFERENCE_S seconds.  The loop is the benchmark's
+# own code, so only a change in the program moves the scaled times.
+REFERENCE_S = 0.010
 _SKIPPED = re.compile(r"warning: sentence (\d+) skipped: (.*)")
 
 
@@ -86,15 +94,13 @@ def run_command(work: Path, label: str, argv, traced: bool) -> dict:
     cmd = [sys.executable, str(HERE / "child.py"), str(result),
            "trace" if traced else "plain", *map(str, argv)]
     with open(work / f"{label}.stdout", "wb") as out, open(work / f"{label}.stderr", "wb") as err:
-        proc = subprocess.Popen(cmd, stdout=out, stderr=err, cwd=ROOT, env=env)
-        timer = threading.Timer(COMMAND_TIMEOUT_S, proc.kill)
-        timer.start()
         try:
-            proc.wait()
-        finally:
-            timer.cancel()
+            code = subprocess.run(cmd, stdout=out, stderr=err, cwd=ROOT, env=env,
+                                  timeout=COMMAND_TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            code = "timeout"
     data = json.loads(result.read_text("utf-8")) if result.exists() else {}
-    data["code"] = proc.returncode
+    data["code"] = code
     data["stderr"] = (work / f"{label}.stderr").read_text("utf-8", errors="replace")
     return data
 
@@ -220,16 +226,19 @@ def _median(values):
 
 
 def end_to_end(wl, rounds) -> dict:
+    """Medians over the run's rounds (probes for ``setup_s``), the times
+    scaled to a machine on which the reference loop takes REFERENCE_S."""
     plain = [r for r in rounds if not r["traced"]]
+    commands = [c for r in plain for c in (r["train"], r["tag"], r["eval"], *r["probes"])]
+    reference = _median(c.get("reference_s") for c in commands)
+    scale = REFERENCE_S / reference if reference else 1.0
 
     def rate(command, tokens):
-        # Tokens over seconds summed across rounds: with three to five
-        # rounds a run, this spreads less from run to run than the median.
-        seconds = [r[command]["seconds"] for r in plain if r[command].get("seconds")]
-        return tokens * len(seconds) / sum(seconds) if seconds else 0.0
+        return _median(tokens / r[command]["seconds"] for r in plain
+                       if r[command].get("seconds")) / scale
 
     m = {
-        "setup_s": (_median(p.get("seconds") for r in plain for p in r["probes"]), "s"),
+        "setup_s": (_median(p.get("seconds") for r in plain for p in r["probes"]) * scale, "s"),
         "train_tok_per_s": (rate("train", wl.corpus_tokens * wl.iters), "tok/s"),
         "tag_tok_per_s": (rate("tag", wl.heldout_tokens), "tok/s"),
         "eval_tok_per_s": (rate("eval", wl.heldout_tokens), "tok/s"),
@@ -315,7 +324,9 @@ def main(argv=None) -> int:
     detail = dict(result, workload=args.workload, seed=args.seed,
                   absent_functions=sorted(absent),
                   rounds=[{c: r[c].get("seconds") for c in ("train", "tag", "eval")}
-                          | {"traced": r["traced"],
+                          | {"reference_s": {c: r[c].get("reference_s")
+                                             for c in ("train", "tag", "eval")},
+                             "traced": r["traced"],
                              "probes": [p.get("seconds") for p in r["probes"]]}
                           for r in rounds],
                   expected_failures=sorted(set(ops.expected)), unexpected_failures=ops.unexpected)

@@ -92,17 +92,17 @@ def generate(name: str, seed: int, out: Path) -> Workload:
     rng = np.random.default_rng([seed, WORKLOADS.index(name)])
     if name == "em-short":
         return _synthetic(rng, out, name, n_tags=10, n_classes=30, n_forms=20_000,
-                          lengths=(2, 7), train_tokens=40_000, tagged_tokens=0,
-                          heldout_tokens=100_000, regime="bias", iters=4,
+                          lengths=(2, 7), train_tokens=15_000, tagged_tokens=0,
+                          heldout_tokens=40_000, regime="bias", iters=4,
                           with_class=False)
     if name == "viterbi-long":
         return _synthetic(rng, out, name, n_tags=44, n_classes=300, n_forms=6_000,
-                          lengths=(200, 3000), train_tokens=60_000,
-                          tagged_tokens=20_000, heldout_tokens=120_000,
+                          lengths=(200, 3000), train_tokens=24_000,
+                          tagged_tokens=8_000, heldout_tokens=48_000,
                           regime="counted", iters=1, with_class=True)
     if name == "guess-raw-de":
-        return _german(rng, out, n_forms=100_000, train_tokens=30_000,
-                       heldout_tokens=60_000, iters=2)
+        return _german(rng, out, n_forms=100_000, train_tokens=15_000,
+                       heldout_tokens=30_000, iters=2)
     raise ValueError(f"unknown workload {name!r}; expected one of {WORKLOADS}")
 
 
