@@ -3,7 +3,8 @@
 The canonical corpus formats are line-oriented UTF-8:
 
 * untagged: one token per line, a blank line ends a sentence;
-* tagged:   ``token<TAB>TAG`` per line, same sentence convention.
+* tagged:   ``token<TAB>TAG`` per line, same sentence convention; an
+            optional third column holds the token's class signature.
 
 Both LF and CRLF line endings are accepted; nothing else is normalized, and
 ``#`` is never a comment inside corpora (a token may legitimately be ``#``).
@@ -144,7 +145,12 @@ def tokenize_raw(source, abbreviations: Iterable[str] | None = None) -> Iterator
 
 
 def read_tagged(source, ts: TagSet) -> Iterator[list[TaggedToken]]:
-    """Stream tagged sentences from a ``token<TAB>TAG`` file."""
+    """Stream tagged sentences from a ``token<TAB>TAG`` file.
+
+    An optional third column, as ``hmmtagger tag --with-class`` writes it,
+    is the token's class signature: ``+``-joined tag labels that include the
+    line's tag.  It is checked and dropped.
+    """
     sentence: list[TaggedToken] = []
     sentence_index = 0
     for lineno, _offset, line in _iter_decoded_lines(source):
@@ -159,9 +165,15 @@ def read_tagged(source, ts: TagSet) -> Iterator[list[TaggedToken]]:
             raise FormatError(f"line {lineno}: expected token<TAB>TAG, got {line!r}")
         if not surface:
             raise FormatError(f"line {lineno}: empty token")
+        label, sep, signature = label.partition("\t")
         tag = ts.tag_id(label)
         if tag is None:
             raise DataError(f"line {lineno}: unknown tag {label!r}")
+        if sep:
+            members = [ts.tag_id(m) for m in signature.split("+")]
+            if None in members or tag not in members:
+                raise FormatError(f"line {lineno}: third column {signature!r} is not a class "
+                                  f"signature containing {label!r}")
         sentence.append(TaggedToken(Token(surface, sentence_index, len(sentence)), tag))
     if sentence:
         yield sentence

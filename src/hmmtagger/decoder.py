@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, ImpossibleSequenceError
 from .lexicon import GuesserRules, Lexicon, classify
-from .model import HmmModel
+from .model import HmmModel, check_sentences
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,7 @@ def viterbi(model: HmmModel, sentence: Sequence[int]) -> Decoding:
     ImpossibleSequenceError, naming the first position where every state is
     dead, when no path has positive probability.
     """
-    seq = np.asarray(sentence, dtype=np.intp)
-    if seq.ndim != 1 or seq.size == 0:
-        raise DataError("sentence must be a non-empty sequence of class ids")
-    if seq.min() < 0 or seq.max() >= model.n_classes:
-        bad = int(np.nonzero((seq < 0) | (seq >= model.n_classes))[0][0])
-        raise DataError(f"unknown class id {int(seq[bad])} at position {bad}")
+    seq = check_sentences(model, [sentence])
     log_initial, log_transition, log_emission = model.log_tables()
     T, n = seq.size, model.n_tags
 

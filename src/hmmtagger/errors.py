@@ -10,7 +10,15 @@ class ConfigError(TaggerError):
 
 
 class DataError(TaggerError):
-    """Corpus data violates a contract (unknown tags, inconsistent gold, ...)."""
+    """Corpus data violates a contract (unknown tags, inconsistent gold, ...).
+
+    ``sentence_index``, when known, is the 0-based index of the offending
+    sentence in the input it came from.
+    """
+
+    def __init__(self, message, sentence_index=None):
+        super().__init__(message)
+        self.sentence_index = sentence_index
 
 
 class FormatError(DataError):
@@ -19,10 +27,6 @@ class FormatError(DataError):
 
 class AlignmentError(DataError):
     """Predicted and gold corpora do not line up."""
-
-    def __init__(self, message, sentence_index=None):
-        super().__init__(message)
-        self.sentence_index = sentence_index
 
 
 class ImpossibleSequenceError(DataError):
@@ -33,9 +37,8 @@ class ImpossibleSequenceError(DataError):
     """
 
     def __init__(self, message, position, sentence_index=None):
-        super().__init__(message)
+        super().__init__(message, sentence_index)
         self.position = position
-        self.sentence_index = sentence_index
 
 
 class ModelIOError(TaggerError):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     ModelChecksumError,
     ModelTagsetMismatchError,
     ModelVersionError,
@@ -103,6 +104,32 @@ class HmmModel:
             raise ValueError("a masked transition cell is positive")
         if np.any(self.emission[~self.allowed_emission_mask()] != 0.0):
             raise ValueError("a tag emits a class it does not belong to")
+
+
+def check_sentences(model: HmmModel, sentences) -> np.ndarray:
+    """Validate sentences of class ids against ``model``.
+
+    Returns the sentences concatenated into one ``intp`` array.  The first
+    invalid sentence raises DataError, with its index in ``sentences`` as
+    ``sentence_index``: it is empty or not one-dimensional, or holds a class
+    id the model does not have.
+    """
+    seqs = good = [np.asarray(s, dtype=np.intp) for s in sentences]
+    for i, seq in enumerate(seqs):
+        if seq.ndim != 1 or seq.size == 0:
+            good = seqs[:i]
+            break
+    flat = np.concatenate(good) if good else np.empty(0, dtype=np.intp)
+    # viewed as unsigned, a negative id is larger than any valid one
+    if flat.size and flat.view(np.uintp).max() >= model.n_classes:
+        bad = int(np.flatnonzero((flat < 0) | (flat >= model.n_classes))[0])
+        ends = np.cumsum([seq.size for seq in good])
+        index = int(np.searchsorted(ends, bad, side="right"))
+        position = bad - (int(ends[index - 1]) if index else 0)
+        raise DataError(f"unknown class id {int(flat[bad])} at position {position}", index)
+    if len(good) < len(seqs):
+        raise DataError("sentence must be a non-empty sequence of class ids", len(good))
+    return flat
 
 
 def _safe_log(a: np.ndarray) -> np.ndarray:

@@ -9,9 +9,16 @@ Three regimes produce models:
                        re-estimation iteration over untagged text;
 * ``counted-only``  -- the counted initialization alone, no re-estimation.
 
-The forward-backward recursions use per-position scaling, so arbitrarily
-long sentences neither underflow nor overflow; the corpus log-likelihood is
-recovered from the scaling factors.
+The forward-backward recursions use per-position scaling (Rabiner 1989), so
+arbitrarily long sentences neither underflow nor overflow; the corpus
+log-likelihood is recovered from the scaling factors.
+
+The E-step (``expected_counts``) is packed and chunked.  The corpus streams
+in chunks of consecutive sentences holding at most ``CHUNK_CELLS`` cells
+(tokens x tags), so a chunk's few working arrays stay small whatever the
+corpus size; a longer sentence is a chunk by itself.  Within a chunk the
+sentences are sorted by length and laid out time-major, and each position
+runs as one matrix product over every sentence still running there.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ImpossibleSequenceError
-from .model import HmmModel, _class_members_arg
+from .model import HmmModel, _class_members_arg, check_sentences
 from .tagset import TagSet
 
 REGIME_BIAS = "bias"
@@ -59,9 +66,11 @@ class TrainingConfig:
 class SufficientStats:
     """Expected counts from forward-backward, plus the log-likelihood.
 
-    Stats from distinct sentences add; ``merge`` is commutative and
-    associative up to floating-point reassociation, which is what makes
-    per-sentence parallelism safe.
+    Stats from distinct sentences add, so a corpus can be reduced in any
+    grouping; ``merge`` is commutative and associative up to floating-point
+    reassociation.  ``expected_counts`` adds one packed chunk of at most
+    ``CHUNK_CELLS`` tokens x tags at a time into a single instance, so its
+    memory is bounded by the chunk, not the corpus.
     """
 
     def __init__(self, initial_counts, transition_counts, emission_counts, log_likelihood=0.0):
@@ -82,63 +91,118 @@ class SufficientStats:
         return self
 
 
-def _check_sentence(model: HmmModel, sentence) -> np.ndarray:
-    seq = np.asarray(sentence, dtype=np.intp)
-    if seq.ndim != 1 or seq.size == 0:
-        raise DataError("sentence must be a non-empty sequence of class ids")
-    if seq.size and (seq.min() < 0 or seq.max() >= model.n_classes):
-        bad = int(np.nonzero((seq < 0) | (seq >= model.n_classes))[0][0])
-        raise DataError(f"unknown class id {int(seq[bad])} at position {bad}")
-    return seq
+# Cells (tokens x tags) of one packed chunk.  Each of the chunk's few working
+# arrays holds this many floats (256 KiB), which bounds the E-step's memory
+# whatever the corpus size; a sentence with more cells is a chunk by itself.
+CHUNK_CELLS = 2 ** 15
+
+
+def _add_expected_counts(model: HmmModel, flat: np.ndarray, lengths: np.ndarray,
+                         into: SufficientStats) -> list[tuple[int, int]]:
+    """Scaled forward-backward over a chunk of sentences at once.
+
+    ``flat`` holds the chunk's validated class ids, sentence after sentence,
+    and ``lengths`` their lengths.  The sentences are sorted by decreasing
+    length and laid out time-major, so the sentences still running at
+    position ``t`` are a contiguous prefix of the rows at ``t``; each
+    position costs one ``(B, n) @ (n, n)`` product for all of them.  Every
+    sentence keeps its own per-position scaling.
+
+    Adds the chunk's expected counts and log-likelihood into ``into`` and
+    returns ``(i, position)``, in increasing ``i``, for each sentence ``i`` of
+    the chunk that no tag path can produce, with its first dead position;
+    such a sentence adds nothing.
+    """
+    n, m, A = model.n_tags, model.n_classes, model.transition
+    N, B = flat.size, lengths.size
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    T = int(sorted_lengths[0])
+    # live[t]: sentences with a token at position t; offsets[t]: first row of t
+    live = np.searchsorted(-sorted_lengths, -np.arange(T), side="left")
+    offsets = np.zeros(T + 1, dtype=np.intp)
+    np.cumsum(live, out=offsets[1:])
+    rank = np.empty(B, dtype=np.intp)
+    rank[order] = np.arange(B)
+    position = np.arange(N) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ids = np.empty(N, dtype=np.intp)
+    ids[offsets[position] + np.repeat(rank, lengths)] = flat
+    obs = model.emission.T.take(ids, axis=0)  # (N, n): emission prob of each tag at each cell
+    live_at, row_at = live.tolist(), offsets.tolist()
+
+    alpha = np.empty_like(obs)
+    scale = np.empty((N, 1))
+    np.multiply(obs[:B], model.initial, out=alpha[:B])
+    # A sentence that dies at t gets scale 0 there and NaN after, in its own
+    # rows only: each row of a matmul depends on that row alone.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(T):
+            lo, k = row_at[t], live_at[t]
+            a = alpha[lo:lo + k]
+            if t:
+                np.matmul(alpha[row_at[t - 1]:row_at[t - 1] + k], A, out=a)
+                a *= obs[lo:lo + k]
+            s = a.sum(axis=1, keepdims=True, out=scale[lo:lo + k])
+            a /= s
+    dead = []  # (sorted row, first dead position)
+    for cell in np.flatnonzero(scale == 0.0).tolist():
+        t = int(np.searchsorted(offsets, cell, side="right")) - 1
+        dead.append((cell - row_at[t], t))
+    for r, _ in dead:  # a dead sentence drops out of every count and of the likelihood
+        cells = offsets[:sorted_lengths[r]] + r
+        alpha[cells] = 0.0
+        scale[cells] = 1.0
+
+    # obs becomes obs / scale, and the backward pass multiplies it by beta in
+    # place: at t >= 1 it then holds the weights that xi needs
+    obs /= scale
+    beta = np.ones_like(obs)  # 1 at each sentence's last token
+    for t in range(T - 1, 0, -1):
+        lo, k, prev = row_at[t], live_at[t], row_at[t - 1]
+        w = obs[lo:lo + k]
+        w *= beta[lo:lo + k]
+        np.matmul(w, A.T, out=beta[prev:prev + k])
+
+    gamma = np.multiply(alpha, beta, out=beta)
+    into.initial_counts += gamma[:B].sum(axis=0)
+    for tag in range(n):
+        into.emission_counts[tag] += np.bincount(ids, weights=gamma[:, tag], minlength=m)
+    if N > B:  # xi; alpha at t - 1 is gathered into gamma's buffer, now free
+        prev_rows = np.arange(B, N) - np.repeat(live[:-1], live[1:])
+        # mode="clip" (the rows are in range) writes straight into ``out``
+        # instead of through a temporary as big as the chunk
+        alpha_prev = np.take(alpha, prev_rows, axis=0, out=beta[:N - B], mode="clip")
+        into.transition_counts += A * (alpha_prev.T @ obs[B:])
+    into.log_likelihood += float(np.log(scale).sum())
+    return sorted((int(order[r]), t) for r, t in dead)
+
+
+def _dead_message(position: int) -> str:
+    if position == 0:
+        return "no tag can start this sentence"
+    return f"all tag states die at position {position}"
 
 
 def forward_backward(model: HmmModel, sentence: Sequence[int],
                      into: Optional[SufficientStats] = None) -> SufficientStats:
     """Expected initial/transition/emission counts for one sentence.
 
-    Uses the scaled alpha/beta recursions; ``log_likelihood`` is the exact
-    (up to rounding) natural log of the sentence probability under ``model``.
-    Counts accumulate into ``into`` when given, which lets callers reduce
-    over a corpus without intermediate allocations.
+    Runs the packed kernel of ``expected_counts`` on a one-sentence chunk;
+    ``log_likelihood`` is the exact (up to rounding) natural log of the
+    sentence probability under ``model``.  Counts accumulate into ``into``
+    when given, which lets callers reduce over a corpus without intermediate
+    allocations.
 
     Raises ImpossibleSequenceError, naming the first dead position, when no
     tag path has positive probability.
     """
-    seq = _check_sentence(model, sentence)
-    T, n = seq.size, model.n_tags
-    obs = model.emission[:, seq].T  # (T, n): emission prob of each tag at each position
-
-    alpha = np.empty((T, n))
-    scale = np.empty(T)
-    a = model.initial * obs[0]
-    s = a.sum()
-    if s <= 0.0:
-        raise ImpossibleSequenceError("no tag can start this sentence", position=0)
-    alpha[0] = a / s
-    scale[0] = s
-    for t in range(1, T):
-        a = (alpha[t - 1] @ model.transition) * obs[t]
-        s = a.sum()
-        if s <= 0.0:
-            raise ImpossibleSequenceError(f"all tag states die at position {t}", position=t)
-        alpha[t] = a / s
-        scale[t] = s
-
-    beta = np.empty((T, n))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (model.transition @ (obs[t + 1] * beta[t + 1])) / scale[t + 1]
-
-    gamma = alpha * beta  # (T, n), rows sum to 1
-
+    flat = check_sentences(model, [sentence])
     if into is None:
-        into = SufficientStats.zeros(n, model.n_classes)
-    into.initial_counts += gamma[0]
-    if T > 1:
-        weighted = (obs[1:] * beta[1:]) / scale[1:, None]
-        into.transition_counts += model.transition * (alpha[:-1].T @ weighted)
-    np.add.at(into.emission_counts.T, seq, gamma)
-    into.log_likelihood += float(np.log(scale).sum())
+        into = SufficientStats.zeros(model.n_tags, model.n_classes)
+    dead = _add_expected_counts(model, flat, np.array([flat.size]), into)
+    if dead:
+        position = dead[0][1]
+        raise ImpossibleSequenceError(_dead_message(position), position=position)
     return into
 
 
@@ -169,6 +233,59 @@ def _reestimate(model: HmmModel, stats: SufficientStats, floor: float) -> HmmMod
                     model.transition_zero_mask.copy())
 
 
+def _chunks(corpus: Iterable[Sequence[int]], n_tags: int):
+    """Yield ``(index of the first sentence, sentences)`` for runs of
+    consecutive sentences of at most ``CHUNK_CELLS`` tokens x tags; a longer
+    sentence is a chunk by itself."""
+    chunk: list = []
+    first = cells = 0
+    for index, sentence in enumerate(corpus):
+        size = len(sentence) * n_tags
+        if chunk and cells + size > CHUNK_CELLS:
+            yield first, chunk
+            chunk, first, cells = [], index, 0
+        chunk.append(sentence)
+        cells += size
+    if chunk:
+        yield first, chunk
+
+
+def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
+                    skip_impossible: bool = False) -> tuple[SufficientStats, int]:
+    """The E-step: expected counts and log-likelihood of a corpus under ``model``.
+
+    Streams ``corpus`` in chunks of consecutive sentences of at most
+    ``CHUNK_CELLS`` tokens x tags and runs forward-backward over a whole
+    chunk at once, so the corpus itself is never held in memory.  Returns
+    the stats and the number of impossible sentences skipped.
+
+    Sentence-level errors are re-raised with the sentence index attached;
+    an impossible sentence is reported by its first dead position, the
+    first such sentence in corpus order.  With ``skip_impossible``
+    zero-probability sentences are dropped from the counts instead.
+    """
+    stats = SufficientStats.zeros(model.n_tags, model.n_classes)
+    n_sentences = skipped = 0
+    for first, chunk in _chunks(corpus, model.n_tags):
+        try:
+            flat = check_sentences(model, chunk)
+        except DataError as exc:
+            index = first + exc.sentence_index
+            raise DataError(f"sentence {index}: {exc}", index) from None
+        lengths = np.array([len(sentence) for sentence in chunk])
+        dead = _add_expected_counts(model, flat, lengths, stats)
+        if dead and not skip_impossible:
+            index, position = first + dead[0][0], dead[0][1]
+            raise ImpossibleSequenceError(f"sentence {index}: {_dead_message(position)}",
+                                          position=position, sentence_index=index)
+        n_sentences += len(chunk)
+        skipped += len(dead)
+    if n_sentences == skipped:
+        raise DataError("training corpus is empty"
+                        if skipped == 0 else "every training sentence was impossible")
+    return stats, skipped
+
+
 def baum_welch(model: HmmModel, corpus: Iterable[Sequence[int]], config: TrainingConfig,
                on_iteration: Optional[Callable[[int, HmmModel, float], None]] = None,
                skip_impossible: bool = False):
@@ -179,33 +296,15 @@ def baum_welch(model: HmmModel, corpus: Iterable[Sequence[int]], config: Trainin
     the corpus log-likelihood under the model entering iteration ``i``; with
     a smoothing floor of 0 the trajectory is non-decreasing.
 
-    Sentence-level errors are re-raised with the sentence index attached;
-    with ``skip_impossible`` zero-probability sentences are dropped from the
-    iteration's counts instead (the count of skips is reported on the final
-    model as ``skipped_sentences``).
+    Each iteration's E-step is ``expected_counts``, which also describes the
+    errors raised; with ``skip_impossible`` zero-probability sentences are
+    dropped from the iteration's counts instead (the count of skips is
+    reported on the final model as ``skipped_sentences``).
     """
     trajectory: list[float] = []
     skipped_total = 0
     for iteration in range(config.iterations):
-        stats = SufficientStats.zeros(model.n_tags, model.n_classes)
-        n_sentences = 0
-        skipped = 0
-        for index, sentence in enumerate(corpus):
-            try:
-                forward_backward(model, sentence, into=stats)
-            except ImpossibleSequenceError as exc:
-                if skip_impossible:
-                    skipped += 1
-                    continue
-                raise ImpossibleSequenceError(
-                    f"sentence {index}: {exc}", position=exc.position, sentence_index=index
-                ) from None
-            except DataError as exc:
-                raise DataError(f"sentence {index}: {exc}") from None
-            n_sentences += 1
-        if n_sentences == 0:
-            raise DataError("training corpus is empty"
-                            if skipped == 0 else "every training sentence was impossible")
+        stats, skipped = expected_counts(model, corpus, skip_impossible)
         skipped_total += skipped
         trajectory.append(stats.log_likelihood)
         model = _reestimate(model, stats, config.smoothing_floor)

@@ -218,6 +218,36 @@ class TestEvalCommand:
                 if l.startswith(".") or l.startswith("0.")]
         assert len(rows) <= 2 * 2  # both tables obey top-k
 
+    def test_reads_tag_output_with_class_column(self, bench_dir, trained, tmp_path, capsys):
+        p = paths(bench_dir)
+        major = tmp_path / "major.map"
+        major.write_text(
+            "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+        pred = str(tmp_path / "pred.tagged")
+        assert main(["tag", "--model", trained, "--tagset", p["tags"],
+                     "--lexicon", p["lex"], "--rules", p["rules"],
+                     "--pretokenized", "--with-class", p["txt"], pred]) == 0
+        code = main(["eval", "--pred", pred, "--gold", p["gold"],
+                     "--tagset", p["tags"], "--lexicon", p["lex"],
+                     "--rules", p["rules"], "--major-classes", str(major)])
+        assert code == 0
+        assert "error rate" in capsys.readouterr().out
+
+    def test_malformed_class_signature_is_exit_2(self, bench_dir, tmp_path, capsys):
+        p = paths(bench_dir)
+        major = tmp_path / "major.map"
+        major.write_text(
+            "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+        lines = open(p["gold"], encoding="utf-8").read().splitlines()
+        lines[0] += "\tT00+NOPE"
+        pred = tmp_path / "pred.tagged"
+        pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["eval", "--pred", str(pred), "--gold", p["gold"],
+                     "--tagset", p["tags"], "--lexicon", p["lex"],
+                     "--rules", p["rules"], "--major-classes", str(major)])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_alignment_error_is_exit_2(self, bench_dir, tmp_path, capsys):
         p = paths(bench_dir)
         major = tmp_path / "major.map"

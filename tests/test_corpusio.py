@@ -139,6 +139,15 @@ class TestTagged:
         with pytest.raises(DataError, match="line 2"):
             list(read_tagged(io.StringIO("Der\tART\nHund\tNOPE\n"), ts))
 
+    def test_class_signature_column_accepted(self, ts):
+        sents = list(read_tagged(io.StringIO("Der\tART\tART+NN\nHund\tNN\tNN\n"), ts))
+        assert [t.gold for t in sents[0]] == [ts.tag_id("ART"), ts.tag_id("NN")]
+
+    @pytest.mark.parametrize("signature", ["NN", "ART+NOPE", "", "ART\tNN"])
+    def test_bad_third_column_names_line(self, ts, signature):
+        with pytest.raises(FormatError, match="line 2"):
+            list(read_tagged(io.StringIO(f"Der\tART\nHund\tART\t{signature}\n"), ts))
+
     def test_empty_token_rejected(self, ts):
         with pytest.raises(FormatError):
             list(read_tagged(io.StringIO("\tART\n"), ts))

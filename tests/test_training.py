@@ -4,6 +4,7 @@ import pytest
 from hmmtagger.errors import ConfigError, DataError, ImpossibleSequenceError
 from hmmtagger.model import BiasSet, TransitionBias, apply_biases, uniform_model
 from hmmtagger.tagset import Tag, TagSet
+from hmmtagger import training
 from hmmtagger.training import (
     REGIME_BIAS,
     REGIME_COUNTED,
@@ -12,6 +13,7 @@ from hmmtagger.training import (
     TrainingConfig,
     baum_welch,
     counted_init,
+    expected_counts,
     forward_backward,
     train_regime,
 )
@@ -209,6 +211,92 @@ class TestBaumWelch:
             m, [[0, 0, 0]],
             TrainingConfig(iterations=50, smoothing_floor=0.0, convergence_tol=1e-12))
         assert len(traj) < 50
+
+
+def prohibited_model(n_tags, seed):
+    """Random model over ``n_tags`` tags with singleton and ambiguous classes
+    and the transition 0 -> 1 prohibited."""
+    from hmmtagger.model import HmmModel
+
+    rng = np.random.default_rng(seed)
+    classes = [(t,) for t in range(n_tags)] + [(0, 1), tuple(range(n_tags))]
+    initial = rng.random(n_tags) + 0.05
+    transition = rng.random((n_tags, n_tags)) + 0.05
+    emission = np.zeros((n_tags, len(classes)))
+    for c, members in enumerate(classes):
+        emission[list(members), c] = rng.random(len(members)) + 0.05
+    model = HmmModel(tiny_tagset(n_tags).labels, classes, initial / initial.sum(),
+                     transition / transition.sum(axis=1, keepdims=True),
+                     emission / emission.sum(axis=1, keepdims=True))
+    return apply_biases(model, BiasSet([TransitionBias(0, 1, 0.0)], ()))
+
+
+class TestPackedEStep:
+    @pytest.mark.parametrize("n_tags, max_len", [(2, 12), (4, 6)])
+    def test_mixed_corpus_matches_oracle(self, monkeypatch, n_tags, max_len):
+        # a chunk holds max_len tokens, so the corpus spans several chunks and
+        # the one longer sentence is a chunk by itself
+        monkeypatch.setattr(training, "CHUNK_CELLS", n_tags * max_len)
+        model = prohibited_model(n_tags, seed=n_tags)
+        rng = np.random.default_rng(7)
+        lengths = [*range(1, max_len + 1)] * 3 + [max_len + 2]
+        rng.shuffle(lengths)
+        corpus, oracles = [], []
+        for length in lengths:
+            while True:
+                seq = rng.integers(model.n_classes, size=length).tolist()
+                oracle = brute_posterior_stats(model, seq)
+                if oracle is not None:
+                    break
+            corpus.append(seq)
+            oracles.append(oracle)
+        chunks = [len(c) for _, c in training._chunks(corpus, n_tags)]
+        assert len(chunks) >= 4 and 1 in chunks
+
+        stats, skipped = expected_counts(model, corpus)
+        assert skipped == 0
+        for part, got in enumerate((stats.initial_counts, stats.transition_counts,
+                                    stats.emission_counts)):
+            np.testing.assert_allclose(got, sum(o[part] for o in oracles), rtol=0, atol=1e-9)
+        assert stats.log_likelihood == pytest.approx(sum(o[3] for o in oracles), abs=1e-9)
+        assert stats.transition_counts[model.transition_zero_mask].tolist() == [0.0]
+
+    # 0-0-1-0 dies at position 2, on the prohibited 0 -> 1.  Each corpus below
+    # is one chunk, in which the dead sentence's length puts it in a middle row.
+    DEAD = [0, 0, 1, 0]
+    CORPUS = [[0, 2, 1], [3, 3, 3, 3, 3], [2], [1, 0, 3, 2, 2, 0]]
+
+    def test_skipped_dead_sentence_leaves_other_counts_alone(self):
+        model = prohibited_model(3, seed=1)
+        with_dead = self.CORPUS[:2] + [self.DEAD] + self.CORPUS[2:]
+        got, skipped = expected_counts(model, with_dead, skip_impossible=True)
+        want, _ = expected_counts(model, self.CORPUS)
+        assert skipped == 1
+        for a, b in ((got.initial_counts, want.initial_counts),
+                     (got.transition_counts, want.transition_counts),
+                     (got.emission_counts, want.emission_counts)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
+
+    def test_first_dead_sentence_in_corpus_order_is_named(self):
+        model = prohibited_model(3, seed=1)
+        # the later dead sentence dies at an earlier position
+        corpus = self.CORPUS[:2] + [self.DEAD] + self.CORPUS[2:] + [[1, 1], [0, 1]]
+        with pytest.raises(ImpossibleSequenceError, match="sentence 2: .* position 2") as err:
+            expected_counts(model, corpus)
+        assert (err.value.sentence_index, err.value.position) == (2, 2)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([2, 9], "sentence 3: unknown class id 9 at position 1"),
+        ([2, -1, 9], "sentence 3: unknown class id -1 at position 1"),
+        ([], "sentence 3: sentence must be a non-empty sequence of class ids"),
+    ])
+    def test_invalid_sentence_is_named(self, bad, message):
+        model = prohibited_model(3, seed=1)
+        corpus = self.CORPUS[:3] + [bad] + self.CORPUS[3:] + [[]]
+        with pytest.raises(DataError, match=message) as err:
+            expected_counts(model, corpus)
+        assert err.value.sentence_index == 3
 
 
 class TestCountedInit:
