@@ -47,14 +47,12 @@ from .evaluation import (
 )
 from .lexicon import (
     ClassStore,
-    EquivalenceClass,
     GuesserRules,
     Lexicon,
     classify,
     guess_class,
     load_guesser_rules,
     load_lexicon,
-    lookup,
 )
 from .model import (
     BiasSet,
@@ -68,7 +66,7 @@ from .model import (
     save_model,
     uniform_model,
 )
-from .tagset import Tag, TagSet, default_tagset, load_tagset, tag_id
+from .tagset import Tag, TagSet, default_tagset, load_tagset
 from .training import (
     REGIME_BIAS,
     REGIME_COUNTED,

@@ -19,24 +19,25 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
 from . import synth as synthmod
 from .corpusio import read_pretokenized, read_tagged, tokenize_raw
 from .decoder import tag_text
-from .errors import DataError, TaggerError
+from .errors import AlignmentError, DataError, TaggerError
 from .evaluation import load_major_classes, profile_report
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
-from .model import BiasSet, load_biases, load_model, save_model
+from .model import load_biases, load_model, save_model
 from .tagset import load_tagset
 from .training import (
+    DEFAULT_ITERATIONS,
     REGIME_BIAS,
     REGIME_COUNTED,
     REGIME_COUNTED_ONLY,
     REGIMES,
     TrainingConfig,
-    counted_init,
     train_regime,
 )
 
@@ -130,7 +131,10 @@ def cmd_train(args) -> int:
         if args.iters is not None:
             raise UsageError("--iters is meaningless with --regime counted-only "
                              "(no re-estimation takes place)")
-    iters = args.iters if args.iters is not None else (20 if args.regime == REGIME_BIAS else 1)
+    if args.regime != REGIME_BIAS and args.biases is not None:
+        raise UsageError(f"--biases is meaningless with --regime {args.regime} "
+                         "(only --regime bias starts from biases)")
+    iters = args.iters if args.iters is not None else DEFAULT_ITERATIONS[args.regime]
 
     log_path = args.log or args.out + ".log"
     manifest = RunManifest(
@@ -146,18 +150,14 @@ def cmd_train(args) -> int:
     tagged = _tagged_pairs(inputs["tagged"], ts, lex, rules) if "tagged" in inputs else None
     corpus = _class_sequences(inputs["corpus"], lex, rules) if "corpus" in inputs else None
 
-    if args.regime == REGIME_COUNTED_ONLY:
-        model, trajectory = counted_init(tagged, ts, store, args.smoothing), []
-    else:
-        biases = load_biases(inputs["biases"], ts) if "biases" in inputs else BiasSet.empty()
-        config = TrainingConfig(iterations=iters, smoothing_floor=args.smoothing)
-        model, trajectory = train_regime(
-            args.regime, ts, store, corpus=corpus, tagged=tagged, biases=biases,
-            config=config, skip_impossible=args.skip_impossible,
-        )
-        skipped = getattr(model, "skipped_sentences", 0)
-        if skipped:
-            print(f"warning: skipped {skipped} impossible sentence(s)", file=sys.stderr)
+    biases = load_biases(inputs["biases"], ts) if "biases" in inputs else None
+    model, trajectory, skipped = train_regime(
+        args.regime, ts, store, corpus=corpus, tagged=tagged, biases=biases,
+        config=TrainingConfig(iterations=iters, smoothing_floor=args.smoothing),
+        skip_impossible=args.skip_impossible,
+    )
+    if skipped:
+        print(f"warning: skipped {skipped} impossible sentence(s)", file=sys.stderr)
 
     save_model(model, args.out)
     with open(log_path, "w", encoding="utf-8") as log:
@@ -228,34 +228,13 @@ def cmd_eval(args) -> int:
 
     ts, store, lex, rules = _load_resources(inputs)
     major = load_major_classes(inputs["major_classes"], ts)
-    pred_sents = list(read_tagged(inputs["pred"], ts))
-    gold_sents = list(read_tagged(inputs["gold"], ts))
-    _check_surfaces(pred_sents, gold_sents)
-
-    pred = [[tt.gold for tt in s] for s in pred_sents]
-    gold = [[tt.gold for tt in s] for s in gold_sents]
-    classes = [
-        [classify(lex, rules, tt.token.surface) for tt in s] for s in gold_sents
-    ]
-    report = profile_report(pred, gold, classes, store, ts, major, top_k=args.top_k)
-    sys.stdout.write(report.render_text())
-    if args.json:
-        doc = report.to_dict()
-        doc["manifest"] = json.loads(manifest.to_json())
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, ensure_ascii=False)
-            f.write("\n")
-    return EXIT_OK
-
-
-def _check_surfaces(pred_sents, gold_sents):
-    from .errors import AlignmentError
-
-    if len(pred_sents) != len(gold_sents):
-        raise AlignmentError(
-            f"prediction has {len(pred_sents)} sentences, gold has {len(gold_sents)}"
-        )
-    for i, (p, g) in enumerate(zip(pred_sents, gold_sents)):
+    pred, gold, classes = [], [], []
+    pred_sents, gold_sents = read_tagged(inputs["pred"], ts), read_tagged(inputs["gold"], ts)
+    for i, (p, g) in enumerate(zip_longest(pred_sents, gold_sents)):
+        if p is None or g is None:  # one file ran out; count the rest of the other
+            n_pred = i + (p is not None) + sum(1 for _ in pred_sents)
+            n_gold = i + (g is not None) + sum(1 for _ in gold_sents)
+            raise AlignmentError(f"prediction has {n_pred} sentences, gold has {n_gold}")
         if len(p) != len(g):
             raise AlignmentError(
                 f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
@@ -267,6 +246,18 @@ def _check_surfaces(pred_sents, gold_sents):
                     f"sentence {i} token {j}: surface {pt.token.surface!r} != {gt.token.surface!r}",
                     sentence_index=i,
                 )
+        pred.append([tt.gold for tt in p])
+        gold.append([tt.gold for tt in g])
+        classes.append([classify(lex, rules, tt.token.surface) for tt in g])
+    report = profile_report(pred, gold, classes, store, ts, major, top_k=args.top_k)
+    sys.stdout.write(report.render_text())
+    if args.json:
+        doc = report.to_dict()
+        doc["manifest"] = json.loads(manifest.to_json())
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2, ensure_ascii=False)
+            f.write("\n")
+    return EXIT_OK
 
 
 def cmd_synth(args) -> int:

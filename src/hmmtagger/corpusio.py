@@ -25,7 +25,7 @@ from importlib import resources
 from typing import Iterable, Iterator
 
 from .errors import DataError, FormatError
-from .tagset import TagSet
+from .tagset import TagSet, invalid_utf8, open_input
 
 
 @dataclass(frozen=True)
@@ -48,36 +48,23 @@ def _iter_decoded_lines(source):
     byte can be reported with its absolute offset; text-mode file objects
     are passed through as-is.
     """
-    if hasattr(source, "read"):
-        stream = source
-        close = False
-    else:
-        stream = open(os.fspath(source), "rb")
-        close = True
-    try:
+    with open_input(source) as stream:
         offset = 0
         for lineno, raw in enumerate(stream, start=1):
+            start = offset
+            offset += len(raw)
             if isinstance(raw, str):
                 line = raw
-                start = offset
-                offset += len(raw)
             else:
-                start = offset
-                offset += len(raw)
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise FormatError(
-                        f"invalid UTF-8 at byte offset {start + exc.start} (line {lineno})"
-                    ) from None
+                    raise invalid_utf8(start + exc.start, lineno) from None
             if line.endswith("\n"):
                 line = line[:-1]
             if line.endswith("\r"):
                 line = line[:-1]
             yield lineno, start, line
-    finally:
-        if close:
-            stream.close()
 
 
 def read_pretokenized(source) -> Iterator[list[Token]]:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import AlignmentError, ConfigError
 from .lexicon import ClassStore
-from .tagset import TagSet
+from .tagset import TagSet, config_lines
 
 MAJOR_CLASSES = ("noun", "verb", "adjective", "adverb", "closed")
 INTRA_CLASS = "intra-class"
@@ -62,10 +62,8 @@ class MajorClassMap:
 
 def load_major_classes(source, ts: TagSet) -> MajorClassMap:
     """Load ``LABEL major_class`` lines; every tag in ``ts`` must appear."""
-    from .lexicon import _iter_config_lines
-
     by_label: dict[str, str] = {}
-    for lineno, line in _iter_config_lines(source):
+    for lineno, line in config_lines(source):
         fields = line.split()
         if len(fields) != 2:
             raise ConfigError(f"line {lineno}: expected LABEL MAJOR_CLASS")

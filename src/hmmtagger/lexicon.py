@@ -4,13 +4,13 @@ An equivalence class is the set of tags a word form can bear; words sharing
 the same tag set are indistinguishable to the model, so classes are interned:
 equal member sets always receive the same dense class id.
 
-Lexicon file format (UTF-8, ``#`` comments):
+Lexicon file format (a config file, see ``tagset.config_lines``):
 
     wordform<TAB>TAG1 TAG2 ...
 
 Duplicate word lines merge by set union of their tags.
 
-Guesser rules file format (UTF-8, ``#`` comments):
+Guesser rules file format (a config file too):
 
     SUFFIX <suffix> <U|L|A> <TAG...>     case of the initial letter: U requires
                                          uppercase, L lowercase, A matches any
@@ -26,24 +26,13 @@ receives a class.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
 from .errors import ConfigError
-from .tagset import TagSet
-
-
-@dataclass(frozen=True)
-class EquivalenceClass:
-    class_id: int
-    members: tuple[int, ...]
-
-    @property
-    def ambiguous(self) -> bool:
-        return len(self.members) > 1
+from .tagset import TagSet, config_lines
 
 
 class ClassStore:
@@ -70,18 +59,11 @@ class ClassStore:
         self._id_by_members[key] = class_id
         return class_id
 
-    def find(self, members: Iterable[int]) -> Optional[int]:
-        """Id of an already interned member set, or None."""
-        return self._id_by_members.get(tuple(sorted(set(members))))
-
     def members(self, class_id: int) -> tuple[int, ...]:
         return self._members[class_id]
 
     def size(self, class_id: int) -> int:
         return len(self._members[class_id])
-
-    def get(self, class_id: int) -> EquivalenceClass:
-        return EquivalenceClass(class_id, self._members[class_id])
 
     def all_members(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._members)
@@ -111,20 +93,6 @@ class Lexicon:
         return word in self.entries
 
 
-def _iter_config_lines(source):
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        with open(os.fspath(source), "r", encoding="utf-8") as f:
-            text = f.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line
-
-
 def _parse_tag_labels(labels: list[str], ts: TagSet, lineno: int) -> list[int]:
     ids = []
     for label in labels:
@@ -143,7 +111,7 @@ def load_lexicon(source, ts: TagSet, store: Optional[ClassStore] = None) -> Lexi
     """
     store = store if store is not None else ClassStore()
     members_by_word: dict[str, set[int]] = {}
-    for lineno, line in _iter_config_lines(source):
+    for lineno, line in config_lines(source):
         word, sep, rest = line.partition("\t")
         if not sep or not word:
             raise ConfigError(f"line {lineno}: expected wordform<TAB>TAG...")
@@ -154,11 +122,6 @@ def load_lexicon(source, ts: TagSet, store: Optional[ClassStore] = None) -> Lexi
         members_by_word.setdefault(word, set()).update(ids)
     entries = {word: store.intern(members) for word, members in members_by_word.items()}
     return Lexicon(entries, store)
-
-
-def lookup(lex: Lexicon, word: str) -> Optional[int]:
-    """Exact case-sensitive lexicon lookup; None when absent."""
-    return lex.entries.get(word)
 
 
 CASE_UPPER = "U"
@@ -220,7 +183,7 @@ def load_guesser_rules(source, ts: TagSet, store: ClassStore) -> GuesserRules:
     suffix_rules: list[SuffixRule] = []
     pattern_rules: dict[str, int] = {}
     defaults: dict[str, int] = {}
-    for lineno, line in _iter_config_lines(source):
+    for lineno, line in config_lines(source):
         fields = line.split()
         kind = fields[0]
         if kind == "SUFFIX":

@@ -25,11 +25,12 @@ from .errors import (
     ConfigError,
     DataError,
     ModelChecksumError,
+    ModelIOError,
     ModelTagsetMismatchError,
     ModelVersionError,
 )
 from .lexicon import ClassStore
-from .tagset import TagSet
+from .tagset import TagSet, config_lines, open_input
 
 ROW_SUM_TOL = 1e-9
 
@@ -37,10 +38,12 @@ _MAGIC = b"#class-hmm-tagger model v1\n"
 
 
 class HmmModel:
-    """Immutable-by-convention container for HMM probability tables.
+    """Immutable container for HMM probability tables.
 
-    Operations in this package never mutate a model in place; they return
-    new instances, so read-only sharing across threads is safe.
+    The constructor copies the four tables and marks the copies read-only,
+    so assigning into a table raises ValueError and nothing the caller
+    still holds can change the model.  Operations in this package return
+    new instances, so sharing a model across threads is safe.
     """
 
     def __init__(self, tag_labels, class_members, initial, transition, emission,
@@ -49,13 +52,13 @@ class HmmModel:
         self.class_members: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(m)) for m in class_members
         )
-        self.initial = np.asarray(initial, dtype=np.float64)
-        self.transition = np.asarray(transition, dtype=np.float64)
-        self.emission = np.asarray(emission, dtype=np.float64)
         n = len(self.tag_labels)
         if transition_zero_mask is None:
             transition_zero_mask = np.zeros((n, n), dtype=bool)
-        self.transition_zero_mask = np.asarray(transition_zero_mask, dtype=bool)
+        self.initial = _read_only(np.array(initial, dtype=np.float64))
+        self.transition = _read_only(np.array(transition, dtype=np.float64))
+        self.emission = _read_only(np.array(emission, dtype=np.float64))
+        self.transition_zero_mask = _read_only(np.array(transition_zero_mask, dtype=bool))
         self._log_cache = None
 
     @property
@@ -79,21 +82,22 @@ class HmmModel:
             self._log_cache = tuple(_safe_log(a) for a in (self.initial, self.transition, self.emission))
         return self._log_cache
 
-    def copy(self) -> "HmmModel":
-        return HmmModel(self.tag_labels, self.class_members, self.initial.copy(),
-                        self.transition.copy(), self.emission.copy(),
-                        self.transition_zero_mask.copy())
-
     def validate(self) -> None:
-        """Check stochasticity, mask, and emission-support invariants."""
+        """Check shapes, class members, finite probabilities, stochasticity,
+        mask, and emission-support invariants; raises ValueError naming the
+        table that breaks one."""
         n, m = self.n_tags, self.n_classes
         if self.initial.shape != (n,) or self.transition.shape != (n, n) \
                 or self.emission.shape != (n, m) or self.transition_zero_mask.shape != (n, n):
             raise ValueError("model table shapes are inconsistent")
+        for c, members in enumerate(self.class_members):
+            if any(not 0 <= t < n for t in members):
+                raise ValueError(f"class {c} has a member tag id outside the tag set: {members}")
         for name, table in (("initial", self.initial), ("transition", self.transition),
                             ("emission", self.emission)):
-            if np.any(table < 0) or np.any(table > 1):
-                raise ValueError(f"{name} contains probabilities outside [0, 1]")
+            # NaN fails both comparisons, so it is caught here too
+            if not np.all((table >= 0) & (table <= 1)):
+                raise ValueError(f"{name} contains values that are NaN or outside [0, 1]")
         if abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"initial sums to {self.initial.sum()!r}, not 1")
         for name, table in (("transition", self.transition), ("emission", self.emission)):
@@ -132,10 +136,15 @@ def check_sentences(model: HmmModel, sentences) -> np.ndarray:
     return flat
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _safe_log(a: np.ndarray) -> np.ndarray:
     out = np.full(a.shape, -np.inf)
     np.log(a, out=out, where=a > 0)
-    return out
+    return _read_only(out)
 
 
 def _class_members_arg(classes) -> tuple[tuple[int, ...], ...]:
@@ -219,16 +228,14 @@ class BiasSet:
 
 
 def load_biases(source, ts: TagSet) -> BiasSet:
-    """Parse a bias file.
+    """Parse a bias file, a config file (see ``tagset.config_lines``).
 
     Lines are ``TRANS <FROM> <TO> <weight>`` or
-    ``SYM <TAG1+TAG2+...> <PREFERRED> <weight>``; ``#`` starts a comment.
+    ``SYM <TAG1+TAG2+...> <PREFERRED> <weight>``.
     """
-    from .lexicon import _iter_config_lines  # shared line scanner
-
     trans: list[TransitionBias] = []
     syms: list[SymbolBias] = []
-    for lineno, line in _iter_config_lines(source):
+    for lineno, line in config_lines(source):
         fields = line.split()
         if fields[0] == "TRANS":
             if len(fields) != 4:
@@ -304,24 +311,18 @@ def apply_biases(model: HmmModel, biases: BiasSet) -> HmmModel:
             )
         emission[b.preferred, c] *= b.weight
 
-    new = HmmModel(model.tag_labels, model.class_members, model.initial.copy(),
-                   transition, emission, mask)
-    _renormalize_in_place(new)
-    return new
-
-
-def _renormalize_in_place(model: HmmModel) -> None:
-    for name, table in (("transition", model.transition), ("emission", model.emission)):
+    for name, table in (("transition", transition), ("emission", emission)):
         sums = table.sum(axis=1)
         dead = np.nonzero(sums <= 0)[0]
         if dead.size:
             label = model.tag_labels[int(dead[0])]
             raise ConfigError(f"{name} row for tag {label!r} has no probability mass left")
         table /= sums[:, None]
-    s = model.initial.sum()
-    if s <= 0:
+    total = model.initial.sum()
+    if total <= 0:
         raise ConfigError("initial distribution has no probability mass")
-    model.initial /= s
+    return HmmModel(model.tag_labels, model.class_members, model.initial / total,
+                    transition, emission, mask)
 
 
 def save_model(model: HmmModel, sink) -> None:
@@ -329,8 +330,11 @@ def save_model(model: HmmModel, sink) -> None:
 
     Layout: magic line, 4-byte big-endian header length, JSON header (tag
     labels and class signatures), raw little-endian float64 tables, the zero
-    mask as bytes, then a SHA-256 digest of everything before it.
+    mask as bytes, then a SHA-256 digest of everything before it.  An
+    invalid model (see ``HmmModel.validate``) raises ValueError and writes
+    nothing.
     """
+    model.validate()
     header = json.dumps({
         "tags": list(model.tag_labels),
         "classes": [list(m) for m in model.class_members],
@@ -356,14 +360,12 @@ def load_model(source, ts: TagSet) -> HmmModel:
     """Read a model saved by save_model and bind it to ``ts``.
 
     Raises ModelVersionError on a bad magic line, ModelChecksumError on
-    truncation or corruption, and ModelTagsetMismatchError when the stored
-    tag labels differ from ``ts``.
+    truncation or corruption, ModelTagsetMismatchError when the stored
+    tag labels differ from ``ts``, and ModelIOError naming the table when
+    the stored model fails ``HmmModel.validate``.
     """
-    if hasattr(source, "read"):
-        blob = source.read()
-    else:
-        with open(os.fspath(source), "rb") as f:
-            blob = f.read()
+    with open_input(source) as stream:
+        blob = stream.read()
     if not blob.startswith(_MAGIC):
         raise ModelVersionError("not a model file, or unsupported format version")
     digest_size = hashlib.sha256().digest_size
@@ -402,9 +404,12 @@ def load_model(source, ts: TagSet) -> HmmModel:
     ):
         arrays.append(np.frombuffer(payload[offset:offset + count], dtype=dtype).reshape(shape))
         offset += count
-    initial, transition, emission, mask = arrays
-    return HmmModel(labels, class_members, initial.copy(), transition.copy(),
-                    emission.copy(), mask.astype(bool))
+    model = HmmModel(labels, class_members, *arrays)
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise ModelIOError(f"model file holds an invalid model: {exc}") from None
+    return model
 
 
 def default_biases(ts: TagSet) -> BiasSet:

@@ -1,21 +1,27 @@
 """Closed part-of-speech tag inventories with label/id interning.
 
-A tag-set file defines one tag per non-comment line as ``LABEL<TAB>description``.
-Lines starting with ``#`` are comments.  A directive line
+A tag-set file is a config file (see ``config_lines``) that defines one tag
+per line as ``LABEL<TAB>description``.  A directive line
 ``!sentence_delim LABEL`` marks the tags that end a sentence; without the
 directive the tag ``$.`` is the delimiter when present.  Tag ids are assigned
 in file order so that saved models and bias files stay stable across loads.
+
+This module also holds what every input reader shares: opening a path or a
+stream (``open_input``), the error for a bad byte (``invalid_utf8``), and
+the one reader of config files (``config_lines``) that the tag-set,
+lexicon, guesser-rule, bias and major-class loaders all use.
 """
 
 from __future__ import annotations
 
 import io
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 DEFAULT_TAGSET_RESOURCE = "elwis.tags"
 
@@ -71,17 +77,41 @@ class TagSet:
         return self.label_index.get(label)
 
 
-def tag_id(ts: TagSet, label: str):
-    """Case-sensitive label lookup; returns None when the label is unknown."""
-    return ts.tag_id(label)
-
-
-def _read_config_text(source) -> str:
+@contextmanager
+def open_input(source):
+    """A file object for ``source``: a path, opened in binary mode and closed
+    on exit, or a file object, used as it is."""
     if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    with open(os.fspath(source), "r", encoding="utf-8") as f:
-        return f.read()
+        yield source
+    else:
+        with open(os.fspath(source), "rb") as f:
+            yield f
+
+
+def invalid_utf8(offset: int, lineno: int) -> FormatError:
+    return FormatError(f"invalid UTF-8 at byte offset {offset} (line {lineno})")
+
+
+def config_lines(source) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for every content line of a UTF-8
+    config file, from a path or a file object.
+
+    Lines split on ``\\n`` with one trailing ``\\r`` stripped, as in
+    corpora.  Blank lines are skipped, and so are comments: lines whose
+    first non-blank character is ``#``.  The file is read and decoded in
+    one call; a bad byte raises FormatError with its offset and line.
+    """
+    with open_input(source) as stream:
+        text = stream.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise invalid_utf8(exc.start, text.count(b"\n", 0, exc.start) + 1) from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        content = line.lstrip()
+        if content and content[0] != "#":
+            yield lineno, line[:-1] if line.endswith("\r") else line
 
 
 def load_tagset(source) -> TagSet:
@@ -91,14 +121,10 @@ def load_tagset(source) -> TagSet:
     unknown directives, a ``!sentence_delim`` naming an unknown label, or an
     empty file.
     """
-    text = _read_config_text(source)
     tags: list[Tag] = []
     seen: dict[str, int] = {}
     delim_requests: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in config_lines(source):
         if line.startswith("!"):
             fields = line.split()
             if fields[0] != "!sentence_delim" or len(fields) != 2:

@@ -36,6 +36,8 @@ REGIME_BIAS = "bias"
 REGIME_COUNTED = "counted"
 REGIME_COUNTED_ONLY = "counted-only"
 REGIMES = (REGIME_BIAS, REGIME_COUNTED, REGIME_COUNTED_ONLY)
+# re-estimation iterations each regime runs unless told otherwise
+DEFAULT_ITERATIONS = {REGIME_BIAS: 20, REGIME_COUNTED: 1, REGIME_COUNTED_ONLY: 0}
 
 
 @dataclass
@@ -45,30 +47,25 @@ class TrainingConfig:
     ``smoothing_floor`` is added to every structurally allowed cell of the
     expected-count tables before renormalization, so events unseen in the
     data do not become permanently impossible; deliberate prohibitions live
-    in the transition zero mask and are unaffected.  ``convergence_tol`` of 0
-    runs exactly ``iterations`` iterations; a positive value stops early once
-    the relative log-likelihood improvement falls below it.
+    in the transition zero mask and are unaffected.  Training runs exactly
+    ``iterations`` iterations.
     """
 
     iterations: int = 20
     smoothing_floor: float = 1e-6
-    convergence_tol: float = 0.0
 
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.smoothing_floor < 0:
             raise ValueError("smoothing_floor must be >= 0")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be >= 0")
 
 
 class SufficientStats:
     """Expected counts from forward-backward, plus the log-likelihood.
 
     Stats from distinct sentences add, so a corpus can be reduced in any
-    grouping; ``merge`` is commutative and associative up to floating-point
-    reassociation.  ``expected_counts`` adds one packed chunk of at most
+    grouping.  ``expected_counts`` adds one packed chunk of at most
     ``CHUNK_CELLS`` tokens x tags at a time into a single instance, so its
     memory is bounded by the chunk, not the corpus.
     """
@@ -82,13 +79,6 @@ class SufficientStats:
     @classmethod
     def zeros(cls, n_tags: int, n_classes: int) -> "SufficientStats":
         return cls(np.zeros(n_tags), np.zeros((n_tags, n_tags)), np.zeros((n_tags, n_classes)))
-
-    def merge(self, other: "SufficientStats") -> "SufficientStats":
-        self.initial_counts += other.initial_counts
-        self.transition_counts += other.transition_counts
-        self.emission_counts += other.emission_counts
-        self.log_likelihood += other.log_likelihood
-        return self
 
 
 # Cells (tokens x tags) of one packed chunk.  Each of the chunk's few working
@@ -183,27 +173,23 @@ def _dead_message(position: int) -> str:
     return f"all tag states die at position {position}"
 
 
-def forward_backward(model: HmmModel, sentence: Sequence[int],
-                     into: Optional[SufficientStats] = None) -> SufficientStats:
+def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStats:
     """Expected initial/transition/emission counts for one sentence.
 
     Runs the packed kernel of ``expected_counts`` on a one-sentence chunk;
     ``log_likelihood`` is the exact (up to rounding) natural log of the
-    sentence probability under ``model``.  Counts accumulate into ``into``
-    when given, which lets callers reduce over a corpus without intermediate
-    allocations.
+    sentence probability under ``model``.
 
     Raises ImpossibleSequenceError, naming the first dead position, when no
     tag path has positive probability.
     """
     flat = check_sentences(model, [sentence])
-    if into is None:
-        into = SufficientStats.zeros(model.n_tags, model.n_classes)
-    dead = _add_expected_counts(model, flat, np.array([flat.size]), into)
+    stats = SufficientStats.zeros(model.n_tags, model.n_classes)
+    dead = _add_expected_counts(model, flat, np.array([flat.size]), stats)
     if dead:
         position = dead[0][1]
         raise ImpossibleSequenceError(_dead_message(position), position=position)
-    return into
+    return stats
 
 
 def _normalize_rows(counts: np.ndarray, allowed: np.ndarray, floor: float,
@@ -228,9 +214,9 @@ def _reestimate(model: HmmModel, stats: SufficientStats, floor: float) -> HmmMod
                                floor, model.emission)
     initial = stats.initial_counts + floor
     total = initial.sum()
-    initial = initial / total if total > 0 else model.initial.copy()
+    initial = initial / total if total > 0 else model.initial
     return HmmModel(model.tag_labels, model.class_members, initial, transition, emission,
-                    model.transition_zero_mask.copy())
+                    model.transition_zero_mask)
 
 
 def _chunks(corpus: Iterable[Sequence[int]], n_tags: int):
@@ -251,13 +237,13 @@ def _chunks(corpus: Iterable[Sequence[int]], n_tags: int):
 
 
 def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
-                    skip_impossible: bool = False) -> tuple[SufficientStats, int]:
+                    skip_impossible: bool = False) -> tuple[SufficientStats, list[int]]:
     """The E-step: expected counts and log-likelihood of a corpus under ``model``.
 
     Streams ``corpus`` in chunks of consecutive sentences of at most
     ``CHUNK_CELLS`` tokens x tags and runs forward-backward over a whole
     chunk at once, so the corpus itself is never held in memory.  Returns
-    the stats and the number of impossible sentences skipped.
+    the stats and the indices of the impossible sentences skipped.
 
     Sentence-level errors are re-raised with the sentence index attached;
     an impossible sentence is reported by its first dead position, the
@@ -265,7 +251,8 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     zero-probability sentences are dropped from the counts instead.
     """
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
-    n_sentences = skipped = 0
+    n_sentences = 0
+    skipped: list[int] = []
     for first, chunk in _chunks(corpus, model.n_tags):
         try:
             flat = check_sentences(model, chunk)
@@ -279,43 +266,39 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
             raise ImpossibleSequenceError(f"sentence {index}: {_dead_message(position)}",
                                           position=position, sentence_index=index)
         n_sentences += len(chunk)
-        skipped += len(dead)
-    if n_sentences == skipped:
-        raise DataError("training corpus is empty"
-                        if skipped == 0 else "every training sentence was impossible")
+        skipped.extend(first + i for i, _ in dead)
+    if n_sentences == len(skipped):
+        raise DataError("every training sentence was impossible"
+                        if skipped else "training corpus is empty")
     return stats, skipped
 
 
 def baum_welch(model: HmmModel, corpus: Iterable[Sequence[int]], config: TrainingConfig,
                on_iteration: Optional[Callable[[int, HmmModel, float], None]] = None,
-               skip_impossible: bool = False):
+               skip_impossible: bool = False) -> tuple[HmmModel, list[float], int]:
     """Expectation-maximization over a corpus of class sequences.
 
     ``corpus`` must be re-iterable (a list, or a reader that restarts per
-    pass).  Returns ``(final_model, trajectory)`` where ``trajectory[i]`` is
-    the corpus log-likelihood under the model entering iteration ``i``; with
-    a smoothing floor of 0 the trajectory is non-decreasing.
+    pass).  Returns ``(final_model, trajectory, skipped)`` where
+    ``trajectory[i]`` is the corpus log-likelihood under the model entering
+    iteration ``i``; with a smoothing floor of 0 the trajectory is
+    non-decreasing.
 
     Each iteration's E-step is ``expected_counts``, which also describes the
     errors raised; with ``skip_impossible`` zero-probability sentences are
-    dropped from the iteration's counts instead (the count of skips is
-    reported on the final model as ``skipped_sentences``).
+    dropped from the iteration's counts instead, and ``skipped`` is the
+    number of distinct sentences dropped in any iteration.
     """
     trajectory: list[float] = []
-    skipped_total = 0
+    skipped: set[int] = set()
     for iteration in range(config.iterations):
-        stats, skipped = expected_counts(model, corpus, skip_impossible)
-        skipped_total += skipped
+        stats, dropped = expected_counts(model, corpus, skip_impossible)
+        skipped.update(dropped)
         trajectory.append(stats.log_likelihood)
         model = _reestimate(model, stats, config.smoothing_floor)
         if on_iteration is not None:
             on_iteration(iteration, model, stats.log_likelihood)
-        if config.convergence_tol > 0 and len(trajectory) >= 2:
-            prev, cur = trajectory[-2], trajectory[-1]
-            if abs(cur - prev) <= config.convergence_tol * abs(prev):
-                break
-    model.skipped_sentences = skipped_total
-    return model, trajectory
+    return model, trajectory, len(skipped)
 
 
 def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classes,
@@ -382,34 +365,41 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
 def train_regime(regime: str, ts: TagSet, classes, *, corpus=None, tagged=None,
                  biases=None, config: Optional[TrainingConfig] = None,
                  skip_impossible: bool = False, on_iteration=None):
-    """Run one of the three training regimes; returns (model, trajectory).
+    """Run one of the three training regimes; returns
+    ``(model, trajectory, skipped)`` as ``baum_welch`` does.
+
+    A regime picks the starting model and the default number of
+    re-estimation iterations (``DEFAULT_ITERATIONS``, used when ``config``
+    is None); ``config.smoothing_floor`` applies to counted initialization
+    as well as to re-estimation.
 
     * ``bias``: needs ``corpus``; ``biases`` defaults to none (an empty bias
-      set reproduces fully unbiased training); 20 iterations by default.
-    * ``counted``: needs ``tagged`` and ``corpus``; 1 iteration by default.
-    * ``counted-only``: needs ``tagged``; passing a config is rejected since
-      no re-estimation takes place.
+      set reproduces fully unbiased training).
+    * ``counted``: needs ``tagged`` and ``corpus``.
+    * ``counted-only``: needs ``tagged``; a config with iterations is
+      rejected since no re-estimation takes place.
+
+    Only ``bias`` takes ``biases``.
     """
     from .model import BiasSet, apply_biases, uniform_model
 
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if regime == REGIME_BIAS and corpus is None:
+        raise ValueError("regime 'bias' needs an untagged corpus")
+    if regime == REGIME_COUNTED and (tagged is None or corpus is None):
+        raise ValueError("regime 'counted' needs a tagged corpus and an untagged corpus")
+    if regime == REGIME_COUNTED_ONLY and tagged is None:
+        raise ValueError("regime 'counted-only' needs a tagged corpus")
+    if regime != REGIME_BIAS and biases is not None:
+        raise ValueError(f"regime {regime!r} takes no biases")
+    cfg = config or TrainingConfig(iterations=DEFAULT_ITERATIONS[regime])
+    if regime == REGIME_COUNTED_ONLY and cfg.iterations:
+        raise ValueError("regime 'counted-only' does no re-estimation; "
+                         "the config must have 0 iterations")
     if regime == REGIME_BIAS:
-        if corpus is None:
-            raise ValueError("regime 'bias' needs an untagged corpus")
-        cfg = config or TrainingConfig(iterations=20)
         start = apply_biases(uniform_model(ts, classes), biases or BiasSet.empty())
-        return baum_welch(start, corpus, cfg, on_iteration=on_iteration,
-                          skip_impossible=skip_impossible)
-    if regime == REGIME_COUNTED:
-        if tagged is None or corpus is None:
-            raise ValueError("regime 'counted' needs a tagged corpus and an untagged corpus")
-        cfg = config or TrainingConfig(iterations=1)
+    else:
         start = counted_init(tagged, ts, classes, cfg.smoothing_floor)
-        return baum_welch(start, corpus, cfg, on_iteration=on_iteration,
-                          skip_impossible=skip_impossible)
-    if regime == REGIME_COUNTED_ONLY:
-        if tagged is None:
-            raise ValueError("regime 'counted-only' needs a tagged corpus")
-        if config is not None:
-            raise ValueError("regime 'counted-only' does no re-estimation; drop the config")
-        return counted_init(tagged, ts, classes), []
-    raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    return baum_welch(start, corpus, cfg, on_iteration=on_iteration,
+                      skip_impossible=skip_impossible)

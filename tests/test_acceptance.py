@@ -119,7 +119,7 @@ def test_criterion_04_em_monotonicity():
                 for _ in range(int(rng.integers(3, 8)))
             ]
             try:
-                _, trajectory = baum_welch(
+                _, trajectory, _ = baum_welch(
                     model, corpus, TrainingConfig(iterations=10, smoothing_floor=0.0))
             except ImpossibleSequenceError:
                 continue
@@ -193,12 +193,12 @@ def test_criterion_06_regime_ordering_on_synthetic_benchmark():
         cfg = TrainingConfig(iterations=20)
         oracle = heldout_error(bench.generator)
 
-        unbiased_model, _ = train_regime(
+        unbiased_model, _, _ = train_regime(
             "bias", ts, members, corpus=bench.train_untagged, config=cfg)
         biases = dominant_transition_biases(bench.generator, top_n=1, weight=1.5)
-        biased_model, _ = train_regime(
+        biased_model, _, _ = train_regime(
             "bias", ts, members, corpus=bench.train_untagged, biases=biases, config=cfg)
-        counted_model, _ = train_regime(
+        counted_model, _, _ = train_regime(
             "counted", ts, members, corpus=bench.train_untagged, tagged=bench.train_tagged)
 
         e_unbiased = heldout_error(unbiased_model)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -113,6 +114,19 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "x.model")])
         assert code == 1
         assert "--corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime, data", [("counted", ["--tagged", "gold", "--corpus", "txt"]),
+                                              ("counted-only", ["--tagged", "gold"])])
+    def test_biases_without_bias_regime_is_usage_error(self, bench_dir, tmp_path, capsys,
+                                                       regime, data):
+        p = paths(bench_dir)
+        biases = tmp_path / "b.biases"
+        biases.write_text("TRANS T00 T01 2\n", encoding="utf-8")
+        code = main(["train", "--regime", regime, "--tagset", p["tags"],
+                     "--lexicon", p["lex"], "--rules", p["rules"], "--biases", str(biases),
+                     *[p.get(a, a) for a in data], "--out", str(tmp_path / "x.model")])
+        assert code == 1
+        assert "--biases" in capsys.readouterr().err
 
     def test_nonexistent_input_is_usage_error(self, bench_dir, tmp_path):
         p = paths(bench_dir)
@@ -248,6 +262,29 @@ class TestEvalCommand:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda sents: sents[:-1], r"prediction has \d+ sentences, gold has \d+$"),
+        (lambda sents: sents[:2] + [sents[2][1:]] + sents[3:], "sentence 2: prediction has"),
+        (lambda sents: sents[:1] + [["zzz\tT00"] + sents[1][1:]] + sents[2:],
+         "sentence 1 token 0: surface 'zzz'"),
+    ])
+    def test_misaligned_prediction_names_sentence(self, bench_dir, tmp_path, capsys,
+                                                  edit, message):
+        p = paths(bench_dir)
+        major = tmp_path / "major.map"
+        major.write_text(
+            "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+        text = open(p["gold"], encoding="utf-8").read()
+        sents = [block.splitlines() for block in text.strip("\n").split("\n\n")]
+        pred = tmp_path / "pred.tagged"
+        pred.write_text("".join("\n".join(s) + "\n\n" for s in edit(sents)), encoding="utf-8")
+        code = main(["eval", "--pred", str(pred), "--gold", p["gold"],
+                     "--tagset", p["tags"], "--lexicon", p["lex"],
+                     "--rules", p["rules"], "--major-classes", str(major)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert re.search(message, err), err
+
     def test_alignment_error_is_exit_2(self, bench_dir, tmp_path, capsys):
         p = paths(bench_dir)
         major = tmp_path / "major.map"
@@ -297,3 +334,29 @@ class TestExitCodes:
         assert main(args) == 2
         assert "sentence 0" in capsys.readouterr().err
         assert main(args[:1] + ["--skip-impossible"] + args[1:]) == 0
+
+    def test_bad_byte_in_lexicon_is_exit_2(self, bench_dir, trained, tmp_path, capsys):
+        p = paths(bench_dir)
+        lex = tmp_path / "bad.lex"
+        lex.write_bytes(b"w000a\tT00\nw001a\tT\xff01\n")
+        code = main(["tag", "--model", trained, "--tagset", p["tags"], "--lexicon", str(lex),
+                     "--rules", p["rules"], "--pretokenized", p["txt"],
+                     str(tmp_path / "out.tagged")])
+        assert code == 2
+        assert "invalid UTF-8 at byte offset 17 (line 2)" in capsys.readouterr().err
+
+    def test_skip_warning_counts_distinct_sentences(self, tmp_path, capsys):
+        # A -> B is prohibited, so the two sentences "x y" are impossible;
+        # the warning counts them once, not once per iteration
+        files = {"tags": "A\ta\nB\tb\n", "lex": "x\tA\ny\tB\n",
+                 "rules": "DEFAULT U A\nDEFAULT L A\n", "biases": "TRANS A B 0\n",
+                 "txt": "x\ny\n\nx\nx\n\nx\ny\n\n"}
+        for ext, text in files.items():
+            (tmp_path / f"t.{ext}").write_text(text, encoding="utf-8")
+        arg = {ext: str(tmp_path / f"t.{ext}") for ext in files}
+        code = main(["train", "--regime", "bias", "--tagset", arg["tags"],
+                     "--lexicon", arg["lex"], "--rules", arg["rules"],
+                     "--biases", arg["biases"], "--corpus", arg["txt"], "--iters", "3",
+                     "--skip-impossible", "--out", str(tmp_path / "t.model")])
+        assert code == 0
+        assert "warning: skipped 2 impossible sentence(s)" in capsys.readouterr().err

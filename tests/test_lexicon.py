@@ -10,7 +10,6 @@ from hmmtagger.lexicon import (
     guess_class,
     load_guesser_rules,
     load_lexicon,
-    lookup,
 )
 from hmmtagger.tagset import load_tagset
 
@@ -30,16 +29,16 @@ def load_rules(text, ts, store):
 class TestLexiconLoading:
     def test_three_member_entry(self, elwis):
         lex = load_lex("die\tART PROS PRELS\n", elwis)
-        cid = lookup(lex, "die")
+        cid = lex.entries.get("die")
         assert labels_of(lex.store, elwis, cid) == ["ART", "PROS", "PRELS"]
 
     def test_singleton_entry(self, elwis):
         lex = load_lex("und\tKON\n", elwis)
-        assert lex.store.size(lookup(lex, "und")) == 1
+        assert lex.store.size(lex.entries.get("und")) == 1
 
     def test_duplicate_word_merges_by_union(self, elwis):
         lex = load_lex("geladen\tVPP ADJD\ngeladen\tVFIN\n", elwis)
-        members = set(labels_of(lex.store, elwis, lookup(lex, "geladen")))
+        members = set(labels_of(lex.store, elwis, lex.entries.get("geladen")))
         assert members == {"VPP", "ADJD", "VFIN"}
 
     def test_unknown_tag_names_line(self, elwis):
@@ -56,18 +55,18 @@ class TestLexiconLoading:
 
     def test_interning_across_words(self, elwis):
         lex = load_lex("die\tART PROS PRELS\nder\tPRELS PROS ART\n", elwis)
-        assert lookup(lex, "die") == lookup(lex, "der")
+        assert lex.entries.get("die") == lex.entries.get("der")
 
 
 class TestLookup:
     def test_case_sensitive(self, elwis):
         lex = load_lex("die\tART\n", elwis)
-        assert lookup(lex, "die") is not None
-        assert lookup(lex, "Die") is None
+        assert "die" in lex
+        assert "Die" not in lex
 
     def test_empty_word_not_found(self, elwis):
         lex = load_lex("die\tART\n", elwis)
-        assert lookup(lex, "") is None
+        assert "" not in lex
 
 
 class TestClassStore:
@@ -79,21 +78,14 @@ class TestClassStore:
         with pytest.raises(ValueError):
             ClassStore().intern([])
 
-    def test_find_does_not_intern(self):
-        store = ClassStore()
-        assert store.find([1]) is None
-        store.intern([1])
-        assert store.find([1]) == 0
-        assert len(store) == 1
-
     def test_from_members_preserves_order(self):
         store = ClassStore.from_members([(0,), (1,), (0, 1)])
         assert store.members(2) == (0, 1)
 
     def test_ambiguity_flag(self):
         store = ClassStore()
-        assert not store.get(store.intern([3])).ambiguous
-        assert store.get(store.intern([3, 4])).ambiguous
+        assert store.size(store.intern([3])) == 1
+        assert store.size(store.intern([3, 4])) == 2
 
 
 class TestGuesser:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from hmmtagger.errors import (
     ConfigError,
     ModelChecksumError,
+    ModelIOError,
     ModelTagsetMismatchError,
     ModelVersionError,
 )
 from hmmtagger.model import (
     BiasSet,
+    HmmModel,
     SymbolBias,
     TransitionBias,
     apply_biases,
@@ -21,6 +25,7 @@ from hmmtagger.model import (
     uniform_model,
 )
 from hmmtagger.tagset import Tag, TagSet, load_tagset
+from hmmtagger.training import TrainingConfig, baum_welch, counted_init
 
 
 def tiny_tagset(n):
@@ -210,3 +215,76 @@ class TestPersistence:
         save_model(m, path)
         loaded = load_model(path, ts)
         assert np.array_equal(m.emission, loaded.emission)
+
+
+def toy_model(**tables):
+    """2 tags, classes {0}, {1}, {0, 1}; ``tables`` replaces any table."""
+    args = dict(initial=[0.6, 0.4], transition=[[0.5, 0.5], [0.3, 0.7]],
+                emission=[[0.5, 0.0, 0.5], [0.0, 0.4, 0.6]])
+    args.update(tables)
+    members = args.pop("class_members", [(0,), (1,), (0, 1)])
+    return HmmModel(tiny_tagset(2).labels, members, **args)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("tables, message", [
+        ({"transition": [[0.5, np.nan], [0.3, 0.7]]}, "transition .* NaN"),
+        ({"initial": [np.inf, 0.4]}, "initial .* NaN or outside"),
+        ({"emission": [[0.5, 0.0, np.nan], [0.0, 0.4, 0.6]]}, "emission .* NaN"),
+        ({"class_members": [(0,), (1,), (0, 2)]}, "class 2 .* outside the tag set"),
+        ({"class_members": [(0,), (-1,), (0, 1)]}, "class 1 .* outside the tag set"),
+    ])
+    def test_rejects(self, tables, message):
+        with pytest.raises(ValueError, match=message):
+            toy_model(**tables).validate()
+
+    def test_save_rejects_nan_model(self):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="transition"):
+            save_model(toy_model(transition=[[0.5, np.nan], [0.3, 0.7]]), buf)
+        assert buf.getvalue() == b""
+
+    def test_load_rejects_nan_patched_into_file(self):
+        buf = io.BytesIO()
+        save_model(toy_model(), buf)
+        blob = bytearray(buf.getvalue()[:-hashlib.sha256().digest_size])
+        magic_len = blob.index(b"\n") + 1
+        (header_len,) = struct.unpack(">I", blob[magic_len:magic_len + 4])
+        cell = magic_len + 4 + header_len + 2 * 8 + 8  # transition[0, 1]
+        blob[cell:cell + 8] = struct.pack("<d", float("nan"))
+        blob += hashlib.sha256(blob).digest()
+        with pytest.raises(ModelIOError, match="transition"):
+            load_model(io.BytesIO(bytes(blob)), tiny_tagset(2))
+
+
+def _models():
+    ts = tiny_tagset(2)
+    uniform = uniform_model(ts, [(0,), (1,), (0, 1)])
+    biased = apply_biases(uniform, BiasSet([TransitionBias(0, 1, 0.0)], ()))
+    buf = io.BytesIO()
+    save_model(biased, buf)
+    return {
+        "uniform_model": uniform,
+        "apply_biases": biased,
+        "counted_init": counted_init([[(0, 0), (1, 1)]], ts, [(0,), (1,), (0, 1)]),
+        "baum_welch": baum_welch(uniform, [[0, 2, 1]], TrainingConfig(iterations=2))[0],
+        "load_model": load_model(io.BytesIO(buf.getvalue()), ts),
+    }
+
+
+@pytest.mark.parametrize("source", ["uniform_model", "apply_biases", "counted_init",
+                                    "baum_welch", "load_model"])
+@pytest.mark.parametrize("table", ["initial", "transition", "emission", "transition_zero_mask"])
+def test_model_tables_are_read_only(source, table):
+    array = getattr(_models()[source], table)
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+
+def test_model_copies_its_tables():
+    initial = np.array([0.6, 0.4])
+    model = toy_model(initial=initial)
+    initial[0] = 0.9
+    assert model.initial[0] == 0.6
+    for table in model.log_tables():
+        assert not table.flags.writeable

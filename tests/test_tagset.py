@@ -2,8 +2,11 @@ import io
 
 import pytest
 
-from hmmtagger.errors import ConfigError
-from hmmtagger.tagset import default_tagset, load_tagset, tag_id
+from hmmtagger.errors import ConfigError, FormatError
+from hmmtagger.evaluation import load_major_classes
+from hmmtagger.lexicon import ClassStore, load_guesser_rules, load_lexicon
+from hmmtagger.model import load_biases
+from hmmtagger.tagset import Tag, TagSet, default_tagset, load_tagset
 
 
 def load(text):
@@ -23,7 +26,7 @@ class TestBundledTagset:
 
     def test_round_trip_all_labels(self, elwis):
         for tag in elwis:
-            assert tag_id(elwis, tag.label) == tag.id
+            assert elwis.tag_id(tag.label) == tag.id
 
     def test_load_is_deterministic(self):
         a = default_tagset()
@@ -76,15 +79,44 @@ def test_unknown_directive_rejected():
 
 
 def test_lookup_is_case_sensitive(elwis):
-    assert tag_id(elwis, "NN") is not None
-    assert tag_id(elwis, "nn") is None
+    assert elwis.tag_id("NN") is not None
+    assert elwis.tag_id("nn") is None
 
 
 def test_lookup_missing_label():
     ts = load("X\ttest\n")
-    assert tag_id(ts, "Y") is None
+    assert ts.tag_id("Y") is None
 
 
 def test_comments_and_blank_lines_ignored():
     ts = load("# header\n\nX\ttest\n\n# trailer\n")
     assert len(ts) == 1
+
+
+# Each config loader with a small valid file over the tags NN and ART.
+CONFIG_LOADERS = {
+    "tagset": (lambda src, ts: load_tagset(src), "NN\tnoun\nART\tarticle\n"),
+    "lexicon": (load_lexicon, "Haus\tNN\ndas\tART\n"),
+    "rules": (lambda src, ts: load_guesser_rules(src, ts, ClassStore()),
+              "DEFAULT U NN\nDEFAULT L ART\n"),
+    "biases": (load_biases, "TRANS ART NN 2\n"),
+    "major-classes": (load_major_classes, "NN noun\nART closed\n"),
+}
+CONFIG_TAGS = TagSet([Tag(0, "NN"), Tag(1, "ART")])
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_LOADERS))
+def test_config_invalid_utf8_names_offset_and_line(kind, tmp_path):
+    loader, text = CONFIG_LOADERS[kind]
+    path = tmp_path / kind
+    path.write_bytes(b"# caf\xc3\xa9\n\xff" + text.encode("utf-8"))
+    with pytest.raises(FormatError, match=r"invalid UTF-8 at byte offset 8 \(line 2\)"):
+        loader(path, CONFIG_TAGS)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_LOADERS))
+def test_config_indented_comments_and_crlf_are_skipped(kind, tmp_path):
+    loader, text = CONFIG_LOADERS[kind]
+    path = tmp_path / kind
+    path.write_bytes(("  # note\r\n\t# tabbed note\n" + text.replace("\n", "\r\n")).encode())
+    loader(path, CONFIG_TAGS)
