@@ -10,15 +10,13 @@ rate, class-frequency and error-type profiles.
 """
 
 from .corpusio import (
-    TaggedToken,
-    Token,
     read_pretokenized,
     read_tagged,
     tokenize_raw,
     write_pretokenized,
     write_tagged,
 )
-from .decoder import Decoding, tag_text, viterbi
+from .decoder import Decoding, viterbi
 from .errors import (
     AlignmentError,
     ConfigError,

@@ -24,8 +24,8 @@ from itertools import zip_longest
 import numpy as np
 
 from . import synth as synthmod
-from .corpusio import read_pretokenized, read_tagged, tokenize_raw
-from .decoder import tag_text
+from .corpusio import read_pretokenized, read_tagged, tokenize_raw, write_pretokenized, write_tagged
+from .decoder import viterbi
 from .errors import AlignmentError, DataError, TaggerError
 from .evaluation import load_major_classes, profile_report
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
@@ -89,36 +89,24 @@ def _resolve_inputs(**paths) -> dict:
     return resolved
 
 
-def _load_resources(inputs, need_lexicon=True):
+def _load_resources(inputs):
     ts = load_tagset(inputs["tagset"])
     store = ClassStore()
-    lex = rules = None
-    if need_lexicon:
-        lex = load_lexicon(inputs["lexicon"], ts, store)
-        rules = load_guesser_rules(inputs["rules"], ts, store)
+    lex = load_lexicon(inputs["lexicon"], ts, store)
+    rules = load_guesser_rules(inputs["rules"], ts, store)
     return ts, store, lex, rules
 
 
-def _class_sequences(path, lex, rules):
-    """Materialize a pretokenized corpus as class-id sequences.
-
-    Tokens themselves are not kept; multi-pass training only needs the
-    compact class ids.
-    """
-    return [
-        np.array([classify(lex, rules, tok.surface) for tok in sentence], dtype=np.intp)
-        for sentence in read_pretokenized(path)
-    ]
-
-
-def _tagged_pairs(path, ts, lex, rules):
-    return [
-        [(tt.gold, classify(lex, rules, tt.token.surface)) for tt in sentence]
-        for sentence in read_tagged(path, ts)
-    ]
+def _classes(lex, rules, words) -> np.ndarray:
+    """The class ids of a sentence's words."""
+    return np.array([classify(lex, rules, w) for w in words], dtype=np.intp)
 
 
 def cmd_train(args) -> int:
+    if args.iters is not None and args.iters < 0:
+        raise UsageError("--iters must be >= 0")
+    if not args.smoothing >= 0:
+        raise UsageError("--smoothing must be >= 0")
     inputs = _resolve_inputs(tagset=args.tagset, lexicon=args.lexicon, rules=args.rules,
                              biases=args.biases, tagged=args.tagged, corpus=args.corpus)
     if args.regime == REGIME_BIAS and "corpus" not in inputs:
@@ -147,8 +135,15 @@ def cmd_train(args) -> int:
     print(f"manifest {manifest.to_json()}")
 
     ts, store, lex, rules = _load_resources(inputs)
-    tagged = _tagged_pairs(inputs["tagged"], ts, lex, rules) if "tagged" in inputs else None
-    corpus = _class_sequences(inputs["corpus"], lex, rules) if "corpus" in inputs else None
+    tagged = corpus = None
+    if "tagged" in inputs:
+        # one (tag, class) iterator per sentence: counted_init reads each once
+        tagged = []
+        for sentence in read_tagged(inputs["tagged"], ts):
+            words, tags = zip(*sentence)
+            tagged.append(zip(tags, _classes(lex, rules, words)))
+    if "corpus" in inputs:
+        corpus = [_classes(lex, rules, s) for s in read_pretokenized(inputs["corpus"])]
 
     biases = load_biases(inputs["biases"], ts) if "biases" in inputs else None
     model, trajectory, skipped = train_regime(
@@ -190,23 +185,24 @@ def cmd_tag(args) -> int:
     rules = load_guesser_rules(inputs["rules"], ts, store)
 
     reader = read_pretokenized if args.pretokenized else tokenize_raw
+    if args.with_class:
+        signatures = ["+".join(map(ts.label, members)) for members in store.all_members()]
     skipped = 0
     with open(args.output, "w", encoding="utf-8", newline="\n") as out:
-        for index, sentence in enumerate(reader(inputs["input"])):
-            surfaces = [tok.surface for tok in sentence]
+        for index, words in enumerate(reader(inputs["input"])):
+            classes = _classes(lex, rules, words)
             try:
-                decoding, classes = tag_text(model, lex, rules, surfaces)
+                decoding = viterbi(model, classes)
             except DataError as exc:
                 if args.skip_impossible:
                     skipped += 1
                     print(f"warning: sentence {index} skipped: {exc}", file=sys.stderr)
                     continue
                 raise DataError(f"sentence {index}: {exc}") from None
-            for i, surface in enumerate(surfaces):
-                line = f"{surface}\t{ts.label(decoding.tags[i])}"
+            for i, word in enumerate(words):
+                line = f"{word}\t{ts.label(decoding.tags[i])}"
                 if args.with_class:
-                    signature = "+".join(ts.label(t) for t in store.members(classes[i]))
-                    line += f"\t{signature}"
+                    line += f"\t{signatures[classes[i]]}"
                 out.write(line + "\n")
             out.write("\n")
     if skipped:
@@ -240,15 +236,14 @@ def cmd_eval(args) -> int:
                 f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
                 sentence_index=i,
             )
-        for j, (pt, gt) in enumerate(zip(p, g)):
-            if pt.token.surface != gt.token.surface:
-                raise AlignmentError(
-                    f"sentence {i} token {j}: surface {pt.token.surface!r} != {gt.token.surface!r}",
-                    sentence_index=i,
-                )
-        pred.append([tt.gold for tt in p])
-        gold.append([tt.gold for tt in g])
-        classes.append([classify(lex, rules, tt.token.surface) for tt in g])
+        (p_words, p_tags), (g_words, g_tags) = zip(*p), zip(*g)
+        for j, (pw, gw) in enumerate(zip(p_words, g_words)):
+            if pw != gw:
+                raise AlignmentError(f"sentence {i} token {j}: surface {pw!r} != {gw!r}",
+                                     sentence_index=i)
+        pred.append(p_tags)
+        gold.append(g_tags)
+        classes.append(_classes(lex, rules, g_words))
     report = profile_report(pred, gold, classes, store, ts, major, top_k=args.top_k)
     sys.stdout.write(report.render_text())
     if args.json:
@@ -301,15 +296,10 @@ def cmd_synth(args) -> int:
     with open(outputs["rules"], "w", encoding="utf-8", newline="\n") as f:
         f.write("DEFAULT U T00\nDEFAULT L T00\n")
     save_model(generator, outputs["model"])
-    with open(outputs["gold"], "w", encoding="utf-8", newline="\n") as fg, \
-            open(outputs["untagged"], "w", encoding="utf-8", newline="\n") as fu:
-        for sentence in corpus:
-            for tag, c in sentence:
-                word = vocab[c][int(rng.integers(len(vocab[c])))]
-                fg.write(f"{word}\t{ts.label(tag)}\n")
-                fu.write(word + "\n")
-            fg.write("\n")
-            fu.write("\n")
+    tagged = [[(vocab[c][int(rng.integers(len(vocab[c])))], tag) for tag, c in sentence]
+              for sentence in corpus]
+    write_tagged(outputs["gold"], tagged, ts)
+    write_pretokenized(outputs["untagged"], ([word for word, _ in s] for s in tagged))
     print(f"benchmark written with prefix {prefix}")
     return EXIT_OK
 

@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ImpossibleSequenceError
-from .lexicon import GuesserRules, Lexicon, classify
+from .errors import ImpossibleSequenceError
 from .model import HmmModel, check_sentences
 
 
@@ -56,15 +55,3 @@ def viterbi(model: HmmModel, sentence: Sequence[int]) -> Decoding:
         path[t - 1] = state
     return Decoding(tuple(int(t) for t in path), float(score[path[T - 1]]))
 
-
-def tag_text(model: HmmModel, lex: Lexicon, rules: GuesserRules,
-             tokens: Sequence[str]) -> tuple[Decoding, tuple[int, ...]]:
-    """Classify one sentence of tokens and decode it.
-
-    Returns the decoding together with the class ids the decoder had to
-    choose from, which evaluation needs for its per-token class sizes.
-    """
-    if not tokens:
-        raise DataError("cannot tag an empty sentence")
-    classes = tuple(classify(lex, rules, tok) for tok in tokens)
-    return viterbi(model, classes), classes

@@ -361,8 +361,9 @@ def load_model(source, ts: TagSet) -> HmmModel:
 
     Raises ModelVersionError on a bad magic line, ModelChecksumError on
     truncation or corruption, ModelTagsetMismatchError when the stored
-    tag labels differ from ``ts``, and ModelIOError naming the table when
-    the stored model fails ``HmmModel.validate``.
+    tag labels differ from ``ts``, and ModelIOError when a class member is
+    not an integer tag id or, naming the table, when the stored model fails
+    ``HmmModel.validate``.
     """
     with open_input(source) as stream:
         blob = stream.read()
@@ -385,6 +386,9 @@ def load_model(source, ts: TagSet) -> HmmModel:
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelChecksumError(f"model header is unreadable: {exc}") from None
     offset += header_len
+    # the digest detects corruption, not a crafted header: bool is an int too
+    if any(type(t) is not int for members in class_members for t in members):
+        raise ModelIOError("model file holds class members that are not tag ids")
 
     if labels != ts.labels:
         raise ModelTagsetMismatchError(

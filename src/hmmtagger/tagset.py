@@ -7,9 +7,10 @@ directive the tag ``$.`` is the delimiter when present.  Tag ids are assigned
 in file order so that saved models and bias files stay stable across loads.
 
 This module also holds what every input reader shares: opening a path or a
-stream (``open_input``), the error for a bad byte (``invalid_utf8``), and
-the one reader of config files (``config_lines``) that the tag-set,
-lexicon, guesser-rule, bias and major-class loaders all use.
+stream (``open_input``) and the one line decoder (``decoded_lines``).  The
+corpus readers use the decoder as it is; the tag-set, lexicon, guesser-rule,
+bias and major-class loaders read through ``config_lines``, which is the
+decoder minus blank and comment lines.
 """
 
 from __future__ import annotations
@@ -88,30 +89,45 @@ def open_input(source):
             yield f
 
 
-def invalid_utf8(offset: int, lineno: int) -> FormatError:
-    return FormatError(f"invalid UTF-8 at byte offset {offset} (line {lineno})")
+_BLOCK_SIZE = 1 << 16  # about this many bytes of whole lines are decoded at once
+
+
+def decoded_lines(source) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for every line of a UTF-8 file, from a
+    path or a file object, without its ``\\n`` or ``\\r\\n`` ending.
+
+    The input streams in blocks of whole lines, each decoded in one call; a
+    bad byte raises FormatError with its offset and line.  Text-mode file
+    objects are split as they are.
+    """
+    with open_input(source) as stream:
+        lineno = offset = 0
+        while raw := stream.readlines(_BLOCK_SIZE):
+            block = raw[0][:0].join(raw)  # bytes, or str from a text stream
+            if not isinstance(block, str):
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad_line = lineno + block.count(b"\n", 0, exc.start) + 1
+                    raise FormatError(f"invalid UTF-8 at byte offset {offset + exc.start} "
+                                      f"(line {bad_line})") from None
+                offset += len(block)
+                block = text
+            lines = block.split("\n")
+            if not lines[-1]:  # what follows the last line break is not a line
+                lines.pop()
+            for line in lines:
+                lineno += 1
+                yield lineno, line[:-1] if line.endswith("\r") else line
 
 
 def config_lines(source) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, line)`` for every content line of a UTF-8
-    config file, from a path or a file object.
-
-    Lines split on ``\\n`` with one trailing ``\\r`` stripped, as in
-    corpora.  Blank lines are skipped, and so are comments: lines whose
-    first non-blank character is ``#``.  The file is read and decoded in
-    one call; a bad byte raises FormatError with its offset and line.
-    """
-    with open_input(source) as stream:
-        text = stream.read()
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise invalid_utf8(exc.start, text.count(b"\n", 0, exc.start) + 1) from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    """``decoded_lines`` of a config file, minus blank lines and comments:
+    lines whose first non-blank character is ``#``."""
+    for lineno, line in decoded_lines(source):
         content = line.lstrip()
         if content and content[0] != "#":
-            yield lineno, line[:-1] if line.endswith("\r") else line
+            yield lineno, line
 
 
 def load_tagset(source) -> TagSet:

@@ -6,6 +6,7 @@ import pytest
 
 from hmmtagger.cli import main
 from hmmtagger.corpusio import read_tagged
+from hmmtagger.lexicon import load_lexicon
 from hmmtagger.model import load_model
 from hmmtagger.tagset import load_tagset
 
@@ -39,6 +40,20 @@ class TestSynthCommand:
         for ext in ("tags", "lex", "rules", "model", "gold", "txt"):
             with open(f"{a}.{ext}", "rb") as fa, open(f"{b}.{ext}", "rb") as fb:
                 assert fa.read() == fb.read(), ext
+
+    def test_untagged_and_gold_agree_with_the_lexicon(self, bench_dir):
+        p = paths(bench_dir)
+        with open(p["txt"], encoding="utf-8") as txt, open(p["gold"], encoding="utf-8") as gold:
+            assert txt.read() == re.sub(r"\t.*", "", gold.read())
+        ts = load_tagset(p["tags"])
+        lex = load_lexicon(p["lex"], ts)
+        sentences = list(read_tagged(p["gold"], ts))
+        assert sentences
+        for sentence in sentences:
+            for pair in sentence:
+                assert type(pair) is tuple and [type(x) for x in pair] == [str, int]
+                word, tag = pair
+                assert tag in lex.store.members(lex.entries[word])
 
     def test_generator_model_loads(self, bench_dir):
         p = paths(bench_dir)
@@ -106,6 +121,21 @@ class TestTrainCommand:
         rows = [line for line in open(out + ".log", encoding="utf-8")
                 if line.strip() and not line.startswith("#")]
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--iters", "-1"), ("--smoothing", "-1"),
+                                             ("--smoothing", "nan")])
+    def test_bad_iters_or_smoothing_is_usage_error(self, bench_dir, tmp_path, capsys,
+                                                   flag, value):
+        p = paths(bench_dir)
+        out = tmp_path / "x.model"
+        code = main(["train", "--regime", "bias", "--tagset", p["tags"],
+                     "--lexicon", p["lex"], "--rules", p["rules"], "--corpus", p["txt"],
+                     flag, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert flag in captured.err
+        assert captured.out == ""  # rejected before the manifest and before any read
+        assert not out.exists()
 
     def test_missing_required_input_is_usage_error(self, bench_dir, tmp_path, capsys):
         p = paths(bench_dir)
@@ -193,7 +223,7 @@ class TestTagCommand:
         assert main(["tag", "--model", trained, "--tagset", p["tags"],
                      "--lexicon", p["lex"], "--rules", p["rules"],
                      "--pretokenized", str(src), out]) == 0
-        tags = [t.gold for s in read_tagged(out, ts) for t in s]
+        tags = [tag for s in read_tagged(out, ts) for _, tag in s]
         assert tags == [2, 1, 3]
 
 

@@ -3,9 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from hmmtagger.decoder import tag_text, viterbi
+from hmmtagger.decoder import viterbi
 from hmmtagger.errors import DataError, ImpossibleSequenceError
-from hmmtagger.lexicon import ClassStore, load_guesser_rules, load_lexicon
+from hmmtagger.lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
 from hmmtagger.model import BiasSet, HmmModel, TransitionBias, apply_biases, uniform_model
 from hmmtagger.tagset import Tag, TagSet, load_tagset
 
@@ -137,7 +137,13 @@ class TestViterbi:
         assert np.isfinite(decoding.log_prob)
 
 
+def classes_of(lex, rules, words):
+    return [classify(lex, rules, w) for w in words]
+
+
 class TestTagText:
+    """Tagging text: classify each word, then decode the class ids."""
+
     @pytest.fixture()
     def pipeline(self):
         ts = load_tagset(io.StringIO(
@@ -154,25 +160,26 @@ class TestTagText:
 
     def test_unambiguous_words_are_forced(self, pipeline):
         model, store, lex, rules, ts = pipeline
-        decoding, classes = tag_text(model, lex, rules, ["Katze", "schläft", "."])
+        classes = classes_of(lex, rules, ["Katze", "schläft", "."])
+        decoding = viterbi(model, classes)
         assert [ts.label(t) for t in decoding.tags] == ["NN", "VFIN", "$."]
         assert all(store.size(c) == 1 for c in classes)
 
     def test_unknown_capitalized_word_gets_upper_default(self, pipeline):
         model, store, lex, rules, ts = pipeline
-        _, classes = tag_text(model, lex, rules, ["Xylophon", "schläft", "."])
+        classes = classes_of(lex, rules, ["Xylophon", "schläft", "."])
         assert store.members(classes[0]) == (ts.tag_id("NN"), ts.tag_id("NE"))
 
     def test_returns_classes_used(self, pipeline):
         model, store, lex, rules, ts = pipeline
-        _, classes = tag_text(model, lex, rules, ["die", "Katze"])
+        classes = classes_of(lex, rules, ["die", "Katze"])
         assert store.size(classes[0]) == 3
         assert store.size(classes[1]) == 1
 
     def test_empty_token_list_rejected(self, pipeline):
         model, _, lex, rules, ts = pipeline
         with pytest.raises(DataError):
-            tag_text(model, lex, rules, [])
+            viterbi(model, classes_of(lex, rules, []))
 
     def test_forced_path_is_model_independent(self, pipeline):
         model, store, lex, rules, ts = pipeline
@@ -182,6 +189,5 @@ class TestTagText:
                          rng.dirichlet(np.ones(n)),
                          rng.dirichlet(np.ones(n), size=n),
                          model.emission)
-        a, _ = tag_text(model, lex, rules, ["Katze", "schläft", "."])
-        b, _ = tag_text(other, lex, rules, ["Katze", "schläft", "."])
-        assert a.tags == b.tags
+        classes = classes_of(lex, rules, ["Katze", "schläft", "."])
+        assert viterbi(model, classes).tags == viterbi(other, classes).tags

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import struct
 
 import numpy as np
@@ -255,6 +256,21 @@ class TestValidation:
         blob += hashlib.sha256(blob).digest()
         with pytest.raises(ModelIOError, match="transition"):
             load_model(io.BytesIO(bytes(blob)), tiny_tagset(2))
+
+    @pytest.mark.parametrize("members", [[1.0], ["1"], [True]])
+    def test_load_rejects_class_members_patched_into_header(self, members):
+        buf = io.BytesIO()
+        save_model(toy_model(), buf)
+        blob = buf.getvalue()[:-hashlib.sha256().digest_size]
+        start = blob.index(b"\n") + 1 + 4
+        (header_len,) = struct.unpack(">I", blob[start - 4:start])
+        header = json.loads(blob[start:start + header_len])
+        header["classes"][1] = members
+        text = json.dumps(header).encode()
+        blob = blob[:start - 4] + struct.pack(">I", len(text)) + text + blob[start + header_len:]
+        blob += hashlib.sha256(blob).digest()
+        with pytest.raises(ModelIOError, match="class members"):
+            load_model(io.BytesIO(blob), tiny_tagset(2))
 
 
 def _models():
