@@ -16,7 +16,7 @@ from .corpusio import (
     write_pretokenized,
     write_tagged,
 )
-from .decoder import Decoding, viterbi
+from .decoder import Decoding, decode, viterbi
 from .errors import (
     AlignmentError,
     ConfigError,

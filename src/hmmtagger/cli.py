@@ -25,11 +25,11 @@ import numpy as np
 
 from . import synth as synthmod
 from .corpusio import read_pretokenized, read_tagged, tokenize_raw, write_pretokenized, write_tagged
-from .decoder import viterbi
+from .decoder import decode
 from .errors import AlignmentError, DataError, TaggerError
 from .evaluation import load_major_classes, profile_report
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
-from .model import load_biases, load_model, save_model
+from .model import chunks, load_biases, load_model, save_model
 from .tagset import load_tagset
 from .training import (
     DEFAULT_ITERATIONS,
@@ -185,32 +185,34 @@ def cmd_tag(args) -> int:
     rules = load_guesser_rules(inputs["rules"], ts, store)
 
     reader = read_pretokenized if args.pretokenized else tokenize_raw
+    labels = ts.labels
     if args.with_class:
         signatures = ["+".join(map(ts.label, members)) for members in store.all_members()]
     skipped = 0
     with open(args.output, "w", encoding="utf-8", newline="\n") as out:
-        for index, words in enumerate(reader(inputs["input"])):
-            classes = _classes(lex, rules, words)
-            try:
-                decoding = viterbi(model, classes)
-            except DataError as exc:
-                if args.skip_impossible:
+        for first, chunk in chunks(reader(inputs["input"]), model.n_tags):
+            classes = [_classes(lex, rules, words) for words in chunk]
+            for i, result in enumerate(decode(model, classes)):
+                if isinstance(result, DataError):
+                    if not args.skip_impossible:
+                        raise result.at_sentence(first + i)
                     skipped += 1
-                    print(f"warning: sentence {index} skipped: {exc}", file=sys.stderr)
+                    print(f"warning: sentence {first + i} skipped: {result}", file=sys.stderr)
                     continue
-                raise DataError(f"sentence {index}: {exc}") from None
-            for i, word in enumerate(words):
-                line = f"{word}\t{ts.label(decoding.tags[i])}"
                 if args.with_class:
-                    line += f"\t{signatures[classes[i]]}"
-                out.write(line + "\n")
-            out.write("\n")
+                    lines = [f"{word}\t{labels[tag]}\t{signatures[c]}\n"
+                             for word, tag, c in zip(chunk[i], result.tags, classes[i].tolist())]
+                else:
+                    lines = [f"{word}\t{labels[tag]}\n" for word, tag in zip(chunk[i], result.tags)]
+                out.write("".join(lines) + "\n")
     if skipped:
         print(f"warning: {skipped} sentence(s) skipped", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    if args.top_k < 1:
+        raise UsageError("--top-k must be >= 1")
     inputs = _resolve_inputs(pred=args.pred, gold=args.gold, tagset=args.tagset,
                              lexicon=args.lexicon, rules=args.rules,
                              major_classes=args.major_classes)

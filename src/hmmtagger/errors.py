@@ -20,6 +20,11 @@ class DataError(TaggerError):
         super().__init__(message)
         self.sentence_index = sentence_index
 
+    def at_sentence(self, index):
+        """This error for sentence ``index`` of a corpus: the message gains a
+        ``sentence {index}: `` prefix."""
+        return DataError(f"sentence {index}: {self}", index)
+
 
 class FormatError(DataError):
     """A data stream is syntactically malformed (bad columns, bad encoding)."""
@@ -39,6 +44,16 @@ class ImpossibleSequenceError(DataError):
     def __init__(self, message, position, sentence_index=None):
         super().__init__(message, sentence_index)
         self.position = position
+
+    @classmethod
+    def dying_at(cls, position, sentence_index=None):
+        """The error for a sentence whose tag states all die at ``position``."""
+        message = ("no tag can start this sentence" if position == 0
+                   else f"all tag states die at position {position}")
+        return cls(message, position, sentence_index)
+
+    def at_sentence(self, index):
+        return ImpossibleSequenceError(f"sentence {index}: {self}", self.position, index)
 
 
 class ModelIOError(TaggerError):

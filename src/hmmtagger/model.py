@@ -17,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class HmmModel:
         self.emission = _read_only(np.array(emission, dtype=np.float64))
         self.transition_zero_mask = _read_only(np.array(transition_zero_mask, dtype=bool))
         self._log_cache = None
+        self._member_cache = None
 
     @property
     def n_tags(self) -> int:
@@ -81,6 +82,35 @@ class HmmModel:
         if self._log_cache is None:
             self._log_cache = tuple(_safe_log(a) for a in (self.initial, self.transition, self.emission))
         return self._log_cache
+
+    def member_tables(self):
+        """Cached read-only tables for decoding over class members only.
+
+        Returns ``(members, log_initial, log_transition, log_emission)``.
+        ``members[c]`` lists the tags of class ``c`` in ascending order,
+        padded to the size ``K`` of the largest class with a dummy tag
+        ``n_tags``, and ``log_emission[c, k]`` is the log-emission of class
+        ``c`` by ``members[c, k]``.  ``log_initial`` and ``log_transition``
+        are the log tables extended by the dummy tag, the transitions
+        flattened as ``source * (n_tags + 1) + target``.  Every score of the
+        dummy tag is -inf, so a padding slot is dead wherever it appears.
+        """
+        if self._member_cache is None:
+            n, m = self.n_tags, self.n_classes
+            log_initial, log_transition, log_emission = self.log_tables()
+            members = np.full((m, max(map(len, self.class_members), default=1)), n,
+                              dtype=np.intp)
+            for c, tags in enumerate(self.class_members):
+                members[c, :len(tags)] = tags
+            initial = np.full(n + 1, -np.inf)
+            initial[:n] = log_initial
+            transition = np.full((n + 1, n + 1), -np.inf)
+            transition[:n, :n] = log_transition
+            emission = np.full((n + 1, m), -np.inf)
+            emission[:n] = log_emission
+            self._member_cache = tuple(_read_only(a) for a in (
+                members, initial, transition.ravel(), emission[members, np.arange(m)[:, None]]))
+        return self._member_cache
 
     def validate(self) -> None:
         """Check shapes, class members, finite probabilities, stochasticity,
@@ -110,30 +140,99 @@ class HmmModel:
             raise ValueError("a tag emits a class it does not belong to")
 
 
-def check_sentences(model: HmmModel, sentences) -> np.ndarray:
+# Cells (tokens x tags) of one packed chunk.  Each of a chunk's few working
+# arrays holds about this many numbers (256 KiB), which bounds the memory of
+# training and decoding whatever the corpus size; a sentence with more cells
+# is a chunk by itself.
+CHUNK_CELLS = 2 ** 15
+
+
+def chunks(sentences: Iterable, n_tags: int):
+    """Yield ``(index of the first sentence, sentences)`` for runs of
+    consecutive sentences of at most ``CHUNK_CELLS`` tokens x tags; a longer
+    sentence is a chunk by itself."""
+    chunk: list = []
+    first = cells = 0
+    for index, sentence in enumerate(sentences):
+        size = len(sentence) * n_tags
+        if chunk and cells + size > CHUNK_CELLS:
+            yield first, chunk
+            chunk, first, cells = [], index, 0
+        chunk.append(sentence)
+        cells += size
+    if chunk:
+        yield first, chunk
+
+
+def check_sentences(model: HmmModel, sentences):
     """Validate sentences of class ids against ``model``.
 
-    Returns the sentences concatenated into one ``intp`` array.  The first
-    invalid sentence raises DataError, with its index in ``sentences`` as
-    ``sentence_index``: it is empty or not one-dimensional, or holds a class
-    id the model does not have.
+    Returns ``(flat, lengths, errors)``: the valid sentences concatenated
+    into one ``intp`` array, the length of every sentence (0 for an invalid
+    one), and a DataError for each invalid sentence, keyed by its index in
+    ``sentences``, which is also its ``sentence_index``.  A sentence is
+    invalid when it is empty or not one-dimensional, or holds a class id the
+    model does not have (the first such id is named).
     """
-    seqs = good = [np.asarray(s, dtype=np.intp) for s in sentences]
-    for i, seq in enumerate(seqs):
-        if seq.ndim != 1 or seq.size == 0:
-            good = seqs[:i]
-            break
-    flat = np.concatenate(good) if good else np.empty(0, dtype=np.intp)
+    seqs = [np.asarray(s, dtype=np.intp) for s in sentences]
+    lengths = np.array([s.size if s.ndim == 1 else 0 for s in seqs], dtype=np.intp)
+    errors = {i: DataError("sentence must be a non-empty sequence of class ids", i)
+              for i in np.flatnonzero(lengths == 0).tolist()}
+    flat = np.concatenate([s for s in seqs if s.ndim == 1] or [np.empty(0, dtype=np.intp)])
     # viewed as unsigned, a negative id is larger than any valid one
     if flat.size and flat.view(np.uintp).max() >= model.n_classes:
-        bad = int(np.flatnonzero((flat < 0) | (flat >= model.n_classes))[0])
-        ends = np.cumsum([seq.size for seq in good])
-        index = int(np.searchsorted(ends, bad, side="right"))
-        position = bad - (int(ends[index - 1]) if index else 0)
-        raise DataError(f"unknown class id {int(flat[bad])} at position {position}", index)
-    if len(good) < len(seqs):
-        raise DataError("sentence must be a non-empty sequence of class ids", len(good))
-    return flat
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        bad = np.flatnonzero(flat.view(np.uintp) >= model.n_classes)
+        invalid, first = np.unique(owner[bad], return_index=True)
+        starts = np.cumsum(lengths) - lengths
+        for i, cell in zip(invalid.tolist(), bad[first].tolist()):
+            errors[i] = DataError(
+                f"unknown class id {int(flat[cell])} at position {cell - starts[i]}", i)
+        flat = flat[~np.isin(owner, invalid)]
+        lengths[invalid] = 0
+    return flat, lengths, errors
+
+
+class Packed(NamedTuple):
+    """A chunk of sentences laid out for the packed kernels.
+
+    The valid sentences are sorted by decreasing length (ties keep chunk
+    order) and laid out time-major: the rows of position ``t`` run from
+    ``offsets[t]`` to ``offsets[t + 1]``, one for each of the ``live[t]``
+    sentences still running there, so the sentences running at ``t`` are a
+    prefix of those running at ``t - 1``.  Row ``offsets[t] + r`` belongs to
+    the ``r``-th longest sentence, chunk sentence ``order[r]`` of length
+    ``lengths[r]``.  ``ids[row]`` is the class id at a row and ``rows[j]``
+    the row of token ``j`` of the valid sentences concatenated in chunk
+    order.  An invalid sentence has length 0 and no rows; ``errors`` holds
+    its DataError under its chunk index.
+    """
+
+    order: np.ndarray
+    lengths: np.ndarray
+    live: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    ids: np.ndarray
+    errors: dict
+
+
+def pack(model: HmmModel, sentences) -> Packed:
+    """Validate a chunk of sentences (``check_sentences``) and pack it."""
+    flat, lengths, errors = check_sentences(model, sentences)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    T = int(sorted_lengths[0]) if lengths.size else 0
+    live = np.searchsorted(-sorted_lengths, -np.arange(T), side="left")
+    offsets = np.zeros(T + 1, dtype=np.intp)
+    np.cumsum(live, out=offsets[1:])
+    rank = np.empty(lengths.size, dtype=np.intp)
+    rank[order] = np.arange(lengths.size)
+    position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows = offsets[position] + np.repeat(rank, lengths)
+    ids = np.empty(flat.size, dtype=np.intp)
+    ids[rows] = flat
+    return Packed(order, sorted_lengths, live, offsets, rows, ids, errors)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -13,12 +13,13 @@ The forward-backward recursions use per-position scaling (Rabiner 1989), so
 arbitrarily long sentences neither underflow nor overflow; the corpus
 log-likelihood is recovered from the scaling factors.
 
-The E-step (``expected_counts``) is packed and chunked.  The corpus streams
-in chunks of consecutive sentences holding at most ``CHUNK_CELLS`` cells
-(tokens x tags), so a chunk's few working arrays stay small whatever the
-corpus size; a longer sentence is a chunk by itself.  Within a chunk the
-sentences are sorted by length and laid out time-major, and each position
-runs as one matrix product over every sentence still running there.
+The E-step (``expected_counts``) is packed and chunked, as decoding is.
+The corpus streams in chunks of consecutive sentences holding at most
+``model.CHUNK_CELLS`` cells (tokens x tags; ``model.chunks``), so a chunk's
+few working arrays stay small whatever the corpus size; a longer sentence
+is a chunk by itself.  Within a chunk the sentences are sorted by length
+and laid out time-major (``model.pack``), and each position runs as one
+matrix product over every sentence still running there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ImpossibleSequenceError
-from .model import HmmModel, _class_members_arg, check_sentences
+from .model import HmmModel, Packed, _class_members_arg, chunks, pack
 from .tagset import TagSet
 
 REGIME_BIAS = "bias"
@@ -66,8 +67,8 @@ class SufficientStats:
 
     Stats from distinct sentences add, so a corpus can be reduced in any
     grouping.  ``expected_counts`` adds one packed chunk of at most
-    ``CHUNK_CELLS`` tokens x tags at a time into a single instance, so its
-    memory is bounded by the chunk, not the corpus.
+    ``model.CHUNK_CELLS`` tokens x tags at a time into a single instance, so
+    its memory is bounded by the chunk, not the corpus.
     """
 
     def __init__(self, initial_counts, transition_counts, emission_counts, log_likelihood=0.0):
@@ -81,42 +82,24 @@ class SufficientStats:
         return cls(np.zeros(n_tags), np.zeros((n_tags, n_tags)), np.zeros((n_tags, n_classes)))
 
 
-# Cells (tokens x tags) of one packed chunk.  Each of the chunk's few working
-# arrays holds this many floats (256 KiB), which bounds the E-step's memory
-# whatever the corpus size; a sentence with more cells is a chunk by itself.
-CHUNK_CELLS = 2 ** 15
+def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats) -> dict:
+    """Scaled forward-backward over a packed chunk of sentences at once.
 
-
-def _add_expected_counts(model: HmmModel, flat: np.ndarray, lengths: np.ndarray,
-                         into: SufficientStats) -> list[tuple[int, int]]:
-    """Scaled forward-backward over a chunk of sentences at once.
-
-    ``flat`` holds the chunk's validated class ids, sentence after sentence,
-    and ``lengths`` their lengths.  The sentences are sorted by decreasing
-    length and laid out time-major, so the sentences still running at
-    position ``t`` are a contiguous prefix of the rows at ``t``; each
-    position costs one ``(B, n) @ (n, n)`` product for all of them.  Every
-    sentence keeps its own per-position scaling.
+    Sentences still running at position ``t`` are a contiguous prefix of
+    the rows at ``t`` (see ``Packed``), so each position costs one
+    ``(B, n) @ (n, n)`` product for all of them.  Every sentence keeps its
+    own per-position scaling.
 
     Adds the chunk's expected counts and log-likelihood into ``into`` and
-    returns ``(i, position)``, in increasing ``i``, for each sentence ``i`` of
-    the chunk that no tag path can produce, with its first dead position;
+    returns, in increasing chunk index, an ImpossibleSequenceError naming
+    the first dead position of each sentence that no tag path can produce;
     such a sentence adds nothing.
     """
     n, m, A = model.n_tags, model.n_classes, model.transition
-    N, B = flat.size, lengths.size
-    order = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    T = int(sorted_lengths[0])
-    # live[t]: sentences with a token at position t; offsets[t]: first row of t
-    live = np.searchsorted(-sorted_lengths, -np.arange(T), side="left")
-    offsets = np.zeros(T + 1, dtype=np.intp)
-    np.cumsum(live, out=offsets[1:])
-    rank = np.empty(B, dtype=np.intp)
-    rank[order] = np.arange(B)
-    position = np.arange(N) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ids = np.empty(N, dtype=np.intp)
-    ids[offsets[position] + np.repeat(rank, lengths)] = flat
+    N, ids, live, offsets = packed.ids.size, packed.ids, packed.live, packed.offsets
+    if not N:
+        return {}
+    B, T = int(live[0]), live.size
     obs = model.emission.T.take(ids, axis=0)  # (N, n): emission prob of each tag at each cell
     live_at, row_at = live.tolist(), offsets.tolist()
 
@@ -139,7 +122,7 @@ def _add_expected_counts(model: HmmModel, flat: np.ndarray, lengths: np.ndarray,
         t = int(np.searchsorted(offsets, cell, side="right")) - 1
         dead.append((cell - row_at[t], t))
     for r, _ in dead:  # a dead sentence drops out of every count and of the likelihood
-        cells = offsets[:sorted_lengths[r]] + r
+        cells = offsets[:packed.lengths[r]] + r
         alpha[cells] = 0.0
         scale[cells] = 1.0
 
@@ -164,13 +147,8 @@ def _add_expected_counts(model: HmmModel, flat: np.ndarray, lengths: np.ndarray,
         alpha_prev = np.take(alpha, prev_rows, axis=0, out=beta[:N - B], mode="clip")
         into.transition_counts += A * (alpha_prev.T @ obs[B:])
     into.log_likelihood += float(np.log(scale).sum())
-    return sorted((int(order[r]), t) for r, t in dead)
-
-
-def _dead_message(position: int) -> str:
-    if position == 0:
-        return "no tag can start this sentence"
-    return f"all tag states die at position {position}"
+    found = sorted((int(packed.order[r]), t) for r, t in dead)
+    return {i: ImpossibleSequenceError.dying_at(t, i) for i, t in found}
 
 
 def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStats:
@@ -180,15 +158,15 @@ def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStat
     ``log_likelihood`` is the exact (up to rounding) natural log of the
     sentence probability under ``model``.
 
-    Raises ImpossibleSequenceError, naming the first dead position, when no
-    tag path has positive probability.
+    Raises DataError for an invalid sentence, and ImpossibleSequenceError,
+    naming the first dead position, when no tag path has positive
+    probability.
     """
-    flat = check_sentences(model, [sentence])
+    packed = pack(model, [sentence])
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
-    dead = _add_expected_counts(model, flat, np.array([flat.size]), stats)
-    if dead:
-        position = dead[0][1]
-        raise ImpossibleSequenceError(_dead_message(position), position=position)
+    failures = packed.errors or _add_expected_counts(model, packed, stats)
+    if failures:
+        raise failures[0]
     return stats
 
 
@@ -219,23 +197,6 @@ def _reestimate(model: HmmModel, stats: SufficientStats, floor: float) -> HmmMod
                     model.transition_zero_mask)
 
 
-def _chunks(corpus: Iterable[Sequence[int]], n_tags: int):
-    """Yield ``(index of the first sentence, sentences)`` for runs of
-    consecutive sentences of at most ``CHUNK_CELLS`` tokens x tags; a longer
-    sentence is a chunk by itself."""
-    chunk: list = []
-    first = cells = 0
-    for index, sentence in enumerate(corpus):
-        size = len(sentence) * n_tags
-        if chunk and cells + size > CHUNK_CELLS:
-            yield first, chunk
-            chunk, first, cells = [], index, 0
-        chunk.append(sentence)
-        cells += size
-    if chunk:
-        yield first, chunk
-
-
 def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
                     skip_impossible: bool = False) -> tuple[SufficientStats, list[int]]:
     """The E-step: expected counts and log-likelihood of a corpus under ``model``.
@@ -245,28 +206,24 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     chunk at once, so the corpus itself is never held in memory.  Returns
     the stats and the indices of the impossible sentences skipped.
 
-    Sentence-level errors are re-raised with the sentence index attached;
-    an impossible sentence is reported by its first dead position, the
-    first such sentence in corpus order.  With ``skip_impossible``
-    zero-probability sentences are dropped from the counts instead.
+    The first failing sentence in corpus order raises, with its index
+    attached: an invalid sentence (see ``model.check_sentences``), or an
+    impossible one, reported by its first dead position.  With
+    ``skip_impossible`` zero-probability sentences are dropped from the
+    counts instead.
     """
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
     n_sentences = 0
     skipped: list[int] = []
-    for first, chunk in _chunks(corpus, model.n_tags):
-        try:
-            flat = check_sentences(model, chunk)
-        except DataError as exc:
-            index = first + exc.sentence_index
-            raise DataError(f"sentence {index}: {exc}", index) from None
-        lengths = np.array([len(sentence) for sentence in chunk])
-        dead = _add_expected_counts(model, flat, lengths, stats)
-        if dead and not skip_impossible:
-            index, position = first + dead[0][0], dead[0][1]
-            raise ImpossibleSequenceError(f"sentence {index}: {_dead_message(position)}",
-                                          position=position, sentence_index=index)
+    for first, chunk in chunks(corpus, model.n_tags):
+        packed = pack(model, chunk)
+        dead = _add_expected_counts(model, packed, stats)
+        failures = packed.errors if skip_impossible else {**packed.errors, **dead}
+        if failures:
+            i = min(failures)
+            raise failures[i].at_sentence(first + i)
         n_sentences += len(chunk)
-        skipped.extend(first + i for i, _ in dead)
+        skipped.extend(first + i for i in dead)
     if n_sentences == len(skipped):
         raise DataError("every training sentence was impossible"
                         if skipped else "training corpus is empty")

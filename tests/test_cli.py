@@ -2,6 +2,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from hmmtagger.cli import main
@@ -262,6 +263,16 @@ class TestEvalCommand:
                 if l.startswith(".") or l.startswith("0.")]
         assert len(rows) <= 2 * 2  # both tables obey top-k
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_usage_error(self, tmp_path, capsys, top_k):
+        # the inputs do not exist: the flag is refused before any file is read
+        missing = str(tmp_path / "missing")
+        code = main(["eval", "--pred", missing, "--gold", missing, "--tagset", missing,
+                     "--lexicon", missing, "--rules", missing, "--major-classes", missing,
+                     "--top-k", top_k])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --top-k must be >= 1\n"
+
     def test_reads_tag_output_with_class_column(self, bench_dir, trained, tmp_path, capsys):
         p = paths(bench_dir)
         major = tmp_path / "major.map"
@@ -390,3 +401,74 @@ class TestExitCodes:
                      "--skip-impossible", "--out", str(tmp_path / "t.model")])
         assert code == 0
         assert "warning: skipped 2 impossible sentence(s)" in capsys.readouterr().err
+
+
+class TestTagFailuresInsideAChunk:
+    """One chunk holds good sentences, an impossible one (a prohibited
+    transition) and one with a class the model never saw (the lexicon grew
+    after training)."""
+
+    SENTENCES = ["z z w", "x z", "x y", "w z v", "z q x", "z"]
+
+    @pytest.fixture()
+    def setup(self, tmp_path):
+        from hmmtagger.lexicon import ClassStore
+        from hmmtagger.model import (BiasSet, HmmModel, TransitionBias, apply_biases,
+                                     save_model)
+
+        files = {"tags": "A\ta\nB\tb\nC\tc\n", "lex": "x\tA\ny\tB\nz\tA B\nw\tB C\nv\tC\n",
+                 "rules": "DEFAULT U A\nDEFAULT L A\n",
+                 "txt": "".join("\n".join(s.split()) + "\n\n" for s in self.SENTENCES)}
+        for ext, text in files.items():
+            (tmp_path / f"t.{ext}").write_text(text, encoding="utf-8")
+        (tmp_path / "grown.lex").write_text(files["lex"] + "q\tA C\n", encoding="utf-8")
+        arg = {ext: str(tmp_path / f"t.{ext}") for ext in files}
+        ts = load_tagset(arg["tags"])
+        store = ClassStore()
+        load_lexicon(arg["lex"], ts, store)
+        rng = np.random.default_rng(3)
+        classes = store.all_members()
+        emission = np.zeros((3, len(classes)))
+        for c, members in enumerate(classes):
+            emission[list(members), c] = rng.random(len(members)) + 0.1
+        model = apply_biases(
+            HmmModel(ts.labels, classes, rng.dirichlet(np.ones(3)),
+                     rng.dirichlet(np.ones(3), size=3),
+                     emission / emission.sum(axis=1, keepdims=True)),
+            BiasSet([TransitionBias(0, 1, 0.0)], ()))  # A -> B
+        save_model(model, str(tmp_path / "t.model"))
+        args = ["tag", "--model", str(tmp_path / "t.model"), "--tagset", arg["tags"],
+                "--lexicon", str(tmp_path / "grown.lex"), "--rules", arg["rules"],
+                "--pretokenized", arg["txt"], str(tmp_path / "out.tagged")]
+        grown = load_lexicon(str(tmp_path / "grown.lex"), ts,
+                             ClassStore.from_members(model.class_members))
+        return model, ts, grown, args, tmp_path / "out.tagged"
+
+    def expected(self, model, ts, lex, indices):
+        from oracles import brute_viterbi
+
+        text = ""
+        for i in indices:
+            words = self.SENTENCES[i].split()
+            path, _ = brute_viterbi(model, [lex.entries[w] for w in words])
+            text += "".join(f"{w}\t{ts.label(t)}\n" for w, t in zip(words, path)) + "\n"
+        return text
+
+    def test_skip_impossible_skips_each_by_its_index(self, setup, capsys):
+        model, ts, lex, args, out = setup
+        assert main(args[:1] + ["--skip-impossible"] + args[1:]) == 0
+        assert out.read_text(encoding="utf-8") == self.expected(model, ts, lex, [0, 1, 3, 5])
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning")]
+        assert warnings == [
+            "warning: sentence 2 skipped: all tag states die at position 1",
+            f"warning: sentence 4 skipped: unknown class id {model.n_classes} at position 1",
+            "warning: 2 sentence(s) skipped",
+        ]
+
+    def test_without_the_flag_the_first_failing_sentence_is_named(self, setup, capsys):
+        model, ts, lex, args, out = setup
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: sentence 2: all tag states die at position 1"
+        # the sentences before it are written, as they are without chunks
+        assert out.read_text(encoding="utf-8") == self.expected(model, ts, lex, [0, 1])

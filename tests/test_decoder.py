@@ -1,12 +1,15 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hmmtagger.decoder import viterbi
+from hmmtagger import model as model_module
+from hmmtagger.decoder import Decoding, decode, viterbi
 from hmmtagger.errors import DataError, ImpossibleSequenceError
 from hmmtagger.lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
-from hmmtagger.model import BiasSet, HmmModel, TransitionBias, apply_biases, uniform_model
+from hmmtagger.model import (BiasSet, HmmModel, TransitionBias, apply_biases, chunks,
+                             uniform_model)
 from hmmtagger.tagset import Tag, TagSet, load_tagset
 
 from oracles import brute_viterbi
@@ -137,6 +140,34 @@ class TestViterbi:
         assert np.isfinite(decoding.log_prob)
 
 
+class TestDecodeChunk:
+    def test_each_failure_is_reported_in_place(self):
+        m = apply_biases(
+            uniform_model(tiny_tagset(2), [(0,), (1,), (0, 1)]),
+            BiasSet([TransitionBias(0, 1, 0.0)], ()))
+        results = decode(m, [[2, 2], [0, 0, 1], [], [1, 0], [2, 7, 1], [0, 1]])
+        assert [type(r).__name__ for r in results] == [
+            "Decoding", "ImpossibleSequenceError", "DataError", "Decoding", "DataError",
+            "ImpossibleSequenceError"]
+        assert [r.sentence_index for r in results if isinstance(r, DataError)] == [1, 2, 4, 5]
+        assert (str(results[1]), results[1].position) == ("all tag states die at position 2", 2)
+        assert str(results[4]) == "unknown class id 7 at position 1"
+        assert results[0].tags == (0, 0) and results[3].tags == (1, 0)
+
+    def test_empty_chunk(self):
+        assert decode(uniform_model(tiny_tagset(1), [(0,)]), []) == []
+
+    def test_member_tables_are_read_only_and_cached(self):
+        m = uniform_model(tiny_tagset(3), [(0,), (1, 2), (0, 1, 2)])
+        members, log_initial, log_transition, log_emission = m.member_tables()
+        assert members.tolist() == [[0, 3, 3], [1, 2, 3], [0, 1, 2]]
+        assert log_initial[3] == log_transition[-1] == log_emission[0, 1] == -np.inf
+        for table in m.member_tables():
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert all(a is b for a, b in zip(m.member_tables(), m.member_tables()))
+
+
 def classes_of(lex, rules, words):
     return [classify(lex, rules, w) for w in words]
 
@@ -191,3 +222,128 @@ class TestTagText:
                          model.emission)
         classes = classes_of(lex, rules, ["Katze", "schläft", "."])
         assert viterbi(model, classes).tags == viterbi(other, classes).tags
+
+
+def dense_viterbi(model, sentence):
+    """The dense decoder that the member-only one replaced, frozen as it was
+    but for the validation of ``sentence``, which the caller does: an
+    ``(n, n)`` add and argmax over all tags per token."""
+    seq = np.asarray(sentence, dtype=np.intp)
+    log_initial, log_transition, log_emission = model.log_tables()
+    T, n = seq.size, model.n_tags
+
+    score = log_initial + log_emission[:, seq[0]]
+    if not np.isfinite(score.max()):
+        raise ImpossibleSequenceError("no tag can start this sentence", position=0)
+    back = np.empty((T, n), dtype=np.intp)
+    for t in range(1, T):
+        candidates = score[:, None] + log_transition  # (from, to)
+        best_prev = np.argmax(candidates, axis=0)  # ties -> lowest tag id
+        score = candidates[best_prev, np.arange(n)] + log_emission[:, seq[t]]
+        if not np.isfinite(score.max()):
+            raise ImpossibleSequenceError(f"all tag states die at position {t}", position=t)
+        back[t] = best_prev
+
+    state = int(np.argmax(score))  # ties -> lowest tag id
+    path = np.empty(T, dtype=np.intp)
+    path[T - 1] = state
+    for t in range(T - 1, 0, -1):
+        state = int(back[t, state])
+        path[t - 1] = state
+    return Decoding(tuple(int(t) for t in path), float(score[path[T - 1]]))
+
+
+def tied_model(rng):
+    """A random model whose probabilities are small multiples of a common
+    unit (many exact ties), with zero initial and transition probabilities
+    and prohibited transitions."""
+    n = int(rng.integers(1, 9))
+    classes = [(t,) for t in range(n)]
+    for _ in range(int(rng.integers(0, 3 * n))):
+        size = int(rng.integers(2, min(4, n) + 1)) if n > 1 else 1
+        members = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        if members not in classes:
+            classes.append(members)
+
+    def coarse(k, zeros=0.0):
+        w = rng.integers(1, 4, size=k) * (rng.random(k) >= zeros)
+        w[int(rng.integers(k))] += 1  # never all zero
+        return w / w.sum()
+
+    mask = (rng.random((n, n)) < 0.2) & (n > 1)
+    mask[np.arange(n), rng.integers(n, size=n)] = False  # every row keeps a cell
+    transition = np.vstack([coarse(n, 0.1) for _ in range(n)])
+    transition[mask] = 0.0
+    transition[transition.sum(axis=1) == 0.0, 0] = 1.0
+    mask &= transition == 0.0
+    transition /= transition.sum(axis=1, keepdims=True)
+    emission = np.zeros((n, len(classes)))
+    for tag in range(n):
+        own = [c for c, members in enumerate(classes) if tag in members]
+        emission[tag, own] = coarse(len(own))
+    return HmmModel([f"T{i}" for i in range(n)], classes, coarse(n, 0.3), transition,
+                    emission, mask)
+
+
+def sample_sentence(rng, model, length):
+    """Class ids along a tag path drawn from ``model``, so some path lives."""
+    tag = rng.choice(model.n_tags, p=model.initial)
+    sentence = []
+    for _ in range(length):
+        sentence.append(int(rng.choice(model.n_classes, p=model.emission[tag])))
+        tag = rng.choice(model.n_tags, p=model.transition[tag])
+    return sentence
+
+
+class TestAgainstDenseDecoder:
+    """Bit-identity with the dense decoder: tags, log-probabilities and dead
+    positions, over chunks of many sentences and solo chunks alike."""
+
+    def check(self, model, corpus) -> Counter:
+        """Compares every sentence; counts outcomes by (kind, chunk of one)."""
+        seen = Counter()
+        for first, chunk in chunks(corpus, model.n_tags):
+            for i, got in enumerate(decode(model, chunk)):
+                sentence = chunk[i]
+                seen[type(got).__name__, len(chunk) == 1] += 1
+                if not len(sentence) or max(sentence) >= model.n_classes:
+                    assert type(got) is DataError and got.sentence_index == i
+                    continue
+                try:
+                    want = dense_viterbi(model, sentence)
+                except ImpossibleSequenceError as exc:
+                    assert isinstance(got, ImpossibleSequenceError), (first + i, got)
+                    assert (got.position, str(got)) == (exc.position, str(exc))
+                    continue
+                assert isinstance(got, Decoding), (first + i, got)
+                assert got.tags == want.tags
+                assert np.float64(got.log_prob).tobytes() == np.float64(want.log_prob).tobytes()
+        return seen
+
+    def test_random_tied_models_over_mixed_chunks(self, monkeypatch):
+        # chunks of at most 40 tokens at 8 tags; a sentence of 400 tokens
+        # is a chunk by itself whatever the model's tag count
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", 8 * 40)
+        rng = np.random.default_rng(2024)
+        seen = Counter()
+        for _ in range(60):
+            model = tied_model(rng)
+            m = model.n_classes
+            corpus = [rng.integers(m, size=int(rng.integers(1, 13))).tolist()
+                      for _ in range(int(rng.integers(20, 80)))]
+            corpus += [sample_sentence(rng, model, int(rng.integers(1, 13))) for _ in range(20)]
+            corpus += [sample_sentence(rng, model, 400), [0, m], []]  # [0, m]: unknown id
+            rng.shuffle(corpus)
+            seen += self.check(model, corpus)
+        # both kernels decoded, and sentences died, many times
+        assert seen["Decoding", True] >= 30 and seen["Decoding", False] >= 1000
+        assert seen["ImpossibleSequenceError", False] >= 100
+
+    def test_ties_between_whole_paths(self):
+        # one class holds every tag, so every path scores the same and the
+        # lowest tag id wins each decision, in a chunk and alone
+        model = uniform_model(tiny_tagset(4), [(0, 1, 2, 3)])
+        corpus = [[0] * length for length in range(1, 7)]
+        self.check(model, corpus)
+        assert [d.tags for d in decode(model, corpus)] == [(0,) * len(s) for s in corpus]
+        assert decode(model, corpus[-1:])[0].tags == (0,) * 6

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hmmtagger.errors import ConfigError, DataError, ImpossibleSequenceError
-from hmmtagger.model import BiasSet, TransitionBias, apply_biases, uniform_model
+from hmmtagger import model as model_module
+from hmmtagger.model import BiasSet, TransitionBias, apply_biases, chunks, uniform_model
 from hmmtagger.tagset import Tag, TagSet
-from hmmtagger import training
 from hmmtagger.training import (
     REGIME_BIAS,
     REGIME_COUNTED,
@@ -228,7 +228,7 @@ class TestPackedEStep:
     def test_mixed_corpus_matches_oracle(self, monkeypatch, n_tags, max_len):
         # a chunk holds max_len tokens, so the corpus spans several chunks and
         # the one longer sentence is a chunk by itself
-        monkeypatch.setattr(training, "CHUNK_CELLS", n_tags * max_len)
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", n_tags * max_len)
         model = prohibited_model(n_tags, seed=n_tags)
         rng = np.random.default_rng(7)
         lengths = [*range(1, max_len + 1)] * 3 + [max_len + 2]
@@ -242,8 +242,8 @@ class TestPackedEStep:
                     break
             corpus.append(seq)
             oracles.append(oracle)
-        chunks = [len(c) for _, c in training._chunks(corpus, n_tags)]
-        assert len(chunks) >= 4 and 1 in chunks
+        sizes = [len(c) for _, c in chunks(corpus, n_tags)]
+        assert len(sizes) >= 4 and 1 in sizes
 
         stats, skipped = expected_counts(model, corpus)
         assert skipped == []
@@ -289,6 +289,18 @@ class TestPackedEStep:
         with pytest.raises(DataError, match=message) as err:
             expected_counts(model, corpus)
         assert err.value.sentence_index == 3
+
+    def test_first_failure_in_chunk_order_whatever_its_kind(self):
+        # an impossible sentence comes before an invalid one in the same chunk
+        model = prohibited_model(3, seed=1)
+        corpus = [self.CORPUS[0], self.DEAD, self.CORPUS[1], [2, 9], self.CORPUS[2]]
+        with pytest.raises(ImpossibleSequenceError,
+                           match="^sentence 1: all tag states die at position 2$") as err:
+            expected_counts(model, corpus)
+        assert (err.value.sentence_index, err.value.position) == (1, 2)
+        # skipping the impossible one leaves the invalid one to fail
+        with pytest.raises(DataError, match="^sentence 3: unknown class id 9 at position 1$"):
+            expected_counts(model, corpus, skip_impossible=True)
 
 
 class TestCountedInit:
