@@ -31,15 +31,7 @@ from .evaluation import load_major_classes, profile_report
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
 from .model import chunks, load_biases, load_model, save_model
 from .tagset import load_tagset
-from .training import (
-    DEFAULT_ITERATIONS,
-    REGIME_BIAS,
-    REGIME_COUNTED,
-    REGIME_COUNTED_ONLY,
-    REGIMES,
-    TrainingConfig,
-    train_regime,
-)
+from .training import REGIMES, TrainingConfig, regime_iterations, train_regime
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,20 +101,10 @@ def cmd_train(args) -> int:
         raise UsageError("--smoothing must be >= 0")
     inputs = _resolve_inputs(tagset=args.tagset, lexicon=args.lexicon, rules=args.rules,
                              biases=args.biases, tagged=args.tagged, corpus=args.corpus)
-    if args.regime == REGIME_BIAS and "corpus" not in inputs:
-        raise UsageError("--regime bias requires --corpus")
-    if args.regime == REGIME_COUNTED and not {"tagged", "corpus"} <= inputs.keys():
-        raise UsageError("--regime counted requires --tagged and --corpus")
-    if args.regime == REGIME_COUNTED_ONLY:
-        if "tagged" not in inputs:
-            raise UsageError("--regime counted-only requires --tagged")
-        if args.iters is not None:
-            raise UsageError("--iters is meaningless with --regime counted-only "
-                             "(no re-estimation takes place)")
-    if args.regime != REGIME_BIAS and args.biases is not None:
-        raise UsageError(f"--biases is meaningless with --regime {args.regime} "
-                         "(only --regime bias starts from biases)")
-    iters = args.iters if args.iters is not None else DEFAULT_ITERATIONS[args.regime]
+    try:
+        iters = regime_iterations(args.regime, inputs, args.iters, as_flags=True)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     log_path = args.log or args.out + ".log"
     manifest = RunManifest(

@@ -7,15 +7,22 @@ PRELS`` (relative to all tokens, leading zero dropped) and error types like
 ``0.0900 VINF/2 VFIN`` where the number after the slash is the size of the
 equivalence class the model had to choose from, omitted when the lexicon
 offered a single choice.
+
+Every figure is read from one tally of the corpus: alignment is checked
+once, then a single pass counts the tokens per class id and the mismatches
+per (predicted tag, class id, gold tag).  Class sizes, members and major
+classes are then looked up once per distinct class, not once per token.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import AlignmentError, ConfigError
 from .lexicon import ClassStore
@@ -28,8 +35,8 @@ CROSS_CLASS = "cross-class"
 
 @dataclass(frozen=True)
 class ClassFrequencyEntry:
-    members: tuple[str, ...]  # tag labels, ascending tag id
     f_ec: float  # relative to all tokens
+    members: tuple[str, ...]  # tag labels, ascending tag id
     count: int
 
 
@@ -88,41 +95,100 @@ def default_major_classes(ts: TagSet) -> MajorClassMap:
     return load_major_classes(io.StringIO(text), ts)
 
 
-def _check_aligned(pred, gold):
-    if len(pred) != len(gold):
-        raise AlignmentError(
-            f"prediction has {len(pred)} sentences, gold has {len(gold)}"
-        )
-    for i, (p, g) in enumerate(zip(pred, gold)):
-        if len(p) != len(g):
-            raise AlignmentError(
-                f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
-                sentence_index=i,
+class _Tally:
+    """One pass over the token sequences; every figure is read from it.
+
+    Counts the tokens per class id and the mismatches per (predicted tag,
+    class id, gold tag), the class id being None when no class sequences
+    are given.  ``pred`` and ``gold`` come together or not at all.  The
+    sequences given are checked against the first, in order, for alignment.
+    """
+
+    def __init__(self, pred=None, gold=None, classes=None):
+        first, *others = [s for s in (pred, gold, classes) if s is not None]
+        for other in others:
+            if len(first) != len(other):
+                raise AlignmentError(
+                    f"prediction has {len(first)} sentences, gold has {len(other)}")
+            for i, (p, g) in enumerate(zip(first, other)):
+                if len(p) != len(g):
+                    raise AlignmentError(
+                        f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
+                        sentence_index=i)
+        self.n_tokens = sum(map(len, first))
+        self.class_counts: Counter[int] = Counter()
+        self.mismatches: Counter[tuple[int, Optional[int], int]] = Counter()
+        absent = repeat(repeat(None))  # None at every token of every sentence
+        for p_s, g_s, c_s in zip(*(absent if s is None else s for s in (pred, gold, classes))):
+            if classes is not None:
+                c_s = np.asarray(c_s).tolist()
+                self.class_counts.update(c_s)
+            self.mismatches.update((p, c, g) for p, g, c in zip(p_s, g_s, c_s) if p != g)
+        self.n_mismatches = sum(self.mismatches.values())
+
+    def error_rate(self) -> float:
+        if self.n_tokens == 0:
+            raise AlignmentError("cannot compute an error rate over zero tokens")
+        return self.n_mismatches / self.n_tokens
+
+    def ambiguity_rate(self, store: ClassStore) -> float:
+        if self.n_tokens == 0:
+            raise AlignmentError("cannot compute an ambiguity rate over zero tokens")
+        return sum(count * store.size(c) for c, count in self.class_counts.items()) / self.n_tokens
+
+    def ambiguous_classes(self, store: ClassStore) -> dict[int, int]:
+        return {c: count for c, count in self.class_counts.items() if store.size(c) > 1}
+
+    def class_frequencies(self, store: ClassStore, ts: TagSet,
+                          top_k: Optional[int]) -> list[ClassFrequencyEntry]:
+        ranked = sorted(self.ambiguous_classes(store).items(), key=lambda kv: (-kv[1], kv[0]))
+        return [
+            ClassFrequencyEntry(
+                f_ec=count / self.n_tokens,
+                members=tuple(ts.label(t) for t in store.members(c)),
+                count=count,
             )
+            for c, count in ranked[:top_k]
+        ]
+
+    def error_types(self, store: ClassStore, ts: TagSet,
+                    top_k: Optional[int]) -> list[ErrorTypeEntry]:
+        groups: Counter[tuple[int, int, int]] = Counter()
+        for (p, c, g), count in self.mismatches.items():
+            groups[(p, store.size(c), g)] += count
+        ranked = sorted(groups.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [
+            ErrorTypeEntry(
+                rel_freq=count / self.n_mismatches,
+                predicted_tag=ts.label(p),
+                class_size=size if size > 1 else None,
+                gold_tag=ts.label(g),
+                count=count,
+            )
+            for (p, size, g), count in ranked[:top_k]
+        ]
+
+    def intra_cross_split(self, store: ClassStore, major_map: MajorClassMap) -> dict:
+        ambiguous = intra = 0
+        for c, count in self.ambiguous_classes(store).items():
+            ambiguous += count
+            if ambiguity_kind(store.members(c), major_map) == INTRA_CLASS:
+                intra += count
+        return {
+            "intra": intra / ambiguous if ambiguous else 0.0,
+            "cross": (ambiguous - intra) / ambiguous if ambiguous else 0.0,
+            "ambiguous_tokens": ambiguous,
+        }
 
 
 def error_rate(pred: Sequence[Sequence[int]], gold: Sequence[Sequence[int]]) -> float:
     """Fraction of tokens whose predicted tag differs from the gold tag."""
-    _check_aligned(pred, gold)
-    total = mismatches = 0
-    for p_sent, g_sent in zip(pred, gold):
-        total += len(p_sent)
-        mismatches += sum(1 for p, g in zip(p_sent, g_sent) if p != g)
-    if total == 0:
-        raise AlignmentError("cannot compute an error rate over zero tokens")
-    return mismatches / total
+    return _Tally(pred, gold).error_rate()
 
 
 def ambiguity_rate(class_seqs: Sequence[Sequence[int]], store: ClassStore) -> float:
     """Total possible tag assignments divided by the token count (>= 1)."""
-    total = slots = 0
-    for sentence in class_seqs:
-        for c in sentence:
-            total += 1
-            slots += store.size(c)
-    if total == 0:
-        raise AlignmentError("cannot compute an ambiguity rate over zero tokens")
-    return slots / total
+    return _Tally(classes=class_seqs).ambiguity_rate(store)
 
 
 def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: ClassStore,
@@ -132,24 +198,7 @@ def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: ClassStore
     Singleton classes never appear, but their tokens stay in the
     denominator.  Ordered by descending frequency, then ascending class id.
     """
-    counts: Counter[int] = Counter()
-    total = 0
-    for sentence in class_seqs:
-        for c in sentence:
-            total += 1
-            if store.size(c) > 1:
-                counts[c] += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_k is not None:
-        ranked = ranked[:top_k]
-    return [
-        ClassFrequencyEntry(
-            members=tuple(ts.label(t) for t in store.members(c)),
-            f_ec=count / total,
-            count=count,
-        )
-        for c, count in ranked
-    ]
+    return _Tally(classes=class_seqs).class_frequencies(store, ts, top_k)
 
 
 def error_type_table(pred, gold, class_seqs, store: ClassStore, ts: TagSet,
@@ -160,30 +209,7 @@ def error_type_table(pred, gold, class_seqs, store: ClassStore, ts: TagSet,
     over the full (untruncated) table.  Ordered by descending frequency,
     then ascending (predicted id, class size, gold id).
     """
-    _check_aligned(pred, gold)
-    _check_aligned(pred, class_seqs)
-    groups: Counter[tuple[int, int, int]] = Counter()
-    mismatches = 0
-    for p_sent, g_sent, c_sent in zip(pred, gold, class_seqs):
-        for p, g, c in zip(p_sent, g_sent, c_sent):
-            if p != g:
-                mismatches += 1
-                groups[(p, store.size(c), g)] += 1
-    if mismatches == 0:
-        return []
-    ranked = sorted(groups.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_k is not None:
-        ranked = ranked[:top_k]
-    return [
-        ErrorTypeEntry(
-            rel_freq=count / mismatches,
-            predicted_tag=ts.label(p),
-            class_size=size if size > 1 else None,
-            gold_tag=ts.label(g),
-            count=count,
-        )
-        for (p, size, g), count in ranked
-    ]
+    return _Tally(pred, gold, class_seqs).error_types(store, ts, top_k)
 
 
 def ambiguity_kind(members: Iterable[int], major_map: MajorClassMap) -> str:
@@ -212,39 +238,17 @@ def _format_error_row(entry: ErrorTypeEntry) -> str:
 
 @dataclass
 class EvalReport:
+    # in the order of the ``--json`` report's keys
     error_rate: float
     ambiguity_rate: float
+    n_tokens: int
+    n_mismatches: int
     class_frequencies: list[ClassFrequencyEntry]
     error_types: list[ErrorTypeEntry]
     intra_cross_split: dict
-    n_tokens: int
-    n_mismatches: int
 
     def to_dict(self) -> dict:
-        return {
-            "error_rate": self.error_rate,
-            "ambiguity_rate": self.ambiguity_rate,
-            "n_tokens": self.n_tokens,
-            "n_mismatches": self.n_mismatches,
-            "class_frequencies": [
-                {"f_ec": e.f_ec, "members": list(e.members), "count": e.count}
-                for e in self.class_frequencies
-            ],
-            "error_types": [
-                {
-                    "rel_freq": e.rel_freq,
-                    "predicted_tag": e.predicted_tag,
-                    "class_size": e.class_size,
-                    "gold_tag": e.gold_tag,
-                    "count": e.count,
-                }
-                for e in self.error_types
-            ],
-            "intra_cross_split": self.intra_cross_split,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
+        return asdict(self)
 
     def render_text(self) -> str:
         lines = [
@@ -269,30 +273,13 @@ class EvalReport:
 def profile_report(pred, gold, class_seqs, store: ClassStore, ts: TagSet,
                    major_map: MajorClassMap, top_k: Optional[int] = 20) -> EvalReport:
     """Aggregate the full measurement battery into one report."""
-    _check_aligned(pred, gold)
-    _check_aligned(pred, class_seqs)
-    rate = error_rate(pred, gold)
-    n_tokens = sum(len(s) for s in pred)
-    n_mismatches = round(rate * n_tokens)
-
-    ambiguous = intra = 0
-    for sentence in class_seqs:
-        for c in sentence:
-            if store.size(c) > 1:
-                ambiguous += 1
-                if ambiguity_kind(store.members(c), major_map) == INTRA_CLASS:
-                    intra += 1
-    split = {
-        "intra": intra / ambiguous if ambiguous else 0.0,
-        "cross": (ambiguous - intra) / ambiguous if ambiguous else 0.0,
-        "ambiguous_tokens": ambiguous,
-    }
+    tally = _Tally(pred, gold, class_seqs)
     return EvalReport(
-        error_rate=rate,
-        ambiguity_rate=ambiguity_rate(class_seqs, store),
-        class_frequencies=class_frequency_table(class_seqs, store, ts, top_k),
-        error_types=error_type_table(pred, gold, class_seqs, store, ts, top_k),
-        intra_cross_split=split,
-        n_tokens=n_tokens,
-        n_mismatches=n_mismatches,
+        error_rate=tally.error_rate(),
+        ambiguity_rate=tally.ambiguity_rate(store),
+        n_tokens=tally.n_tokens,
+        n_mismatches=tally.n_mismatches,
+        class_frequencies=tally.class_frequencies(store, ts, top_k),
+        error_types=tally.error_types(store, ts, top_k),
+        intra_cross_split=tally.intra_cross_split(store, major_map),
     )

@@ -72,10 +72,7 @@ class HmmModel:
 
     def allowed_emission_mask(self) -> np.ndarray:
         """Boolean (n_tags, n_classes): True where the tag belongs to the class."""
-        mask = np.zeros((self.n_tags, self.n_classes), dtype=bool)
-        for c, members in enumerate(self.class_members):
-            mask[list(members), c] = True
-        return mask
+        return membership_mask(self.n_tags, self.class_members)
 
     def log_tables(self):
         """Cached natural-log views (zeros become -inf) for decoding."""
@@ -120,9 +117,10 @@ class HmmModel:
         if self.initial.shape != (n,) or self.transition.shape != (n, n) \
                 or self.emission.shape != (n, m) or self.transition_zero_mask.shape != (n, n):
             raise ValueError("model table shapes are inconsistent")
-        for c, members in enumerate(self.class_members):
-            if any(not 0 <= t < n for t in members):
-                raise ValueError(f"class {c} has a member tag id outside the tag set: {members}")
+        try:
+            allowed = self.allowed_emission_mask()
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
         for name, table in (("initial", self.initial), ("transition", self.transition),
                             ("emission", self.emission)):
             # NaN fails both comparisons, so it is caught here too
@@ -136,7 +134,7 @@ class HmmModel:
                 raise ValueError(f"{name} row {bad[0]} does not sum to 1")
         if np.any(self.transition[self.transition_zero_mask] != 0.0):
             raise ValueError("a masked transition cell is positive")
-        if np.any(self.emission[~self.allowed_emission_mask()] != 0.0):
+        if np.any(self.emission[~allowed] != 0.0):
             raise ValueError("a tag emits a class it does not belong to")
 
 
@@ -246,43 +244,52 @@ def _safe_log(a: np.ndarray) -> np.ndarray:
     return _read_only(out)
 
 
-def _class_members_arg(classes) -> tuple[tuple[int, ...], ...]:
+def membership_mask(n_tags: int, class_members) -> np.ndarray:
+    """Boolean (n_tags, n_classes): True where the tag belongs to the class.
+
+    Raises ConfigError for a member that is not a tag id below ``n_tags``.
+    """
+    mask = np.zeros((n_tags, len(class_members)), dtype=bool)
+    for c, members in enumerate(class_members):
+        for t in members:
+            if not 0 <= t < n_tags:
+                raise ConfigError(f"class {c} references tag id {t} outside the tag set")
+        mask[list(members), c] = True
+    return mask
+
+
+def class_membership(ts: TagSet, classes):
+    """``(members, mask)`` for a starting model over ``ts``: the class
+    inventory ``classes`` (a ClassStore or a sequence of member-id tuples)
+    as sorted member tuples, and its ``membership_mask``.
+
+    Raises ConfigError for an empty inventory, a member outside the tag
+    set, and a tag contained in no class, which could never emit anything.
+    """
     if isinstance(classes, ClassStore):
-        return classes.all_members()
-    return tuple(tuple(sorted(m)) for m in classes)
+        members = classes.all_members()
+    else:
+        members = tuple(tuple(sorted(m)) for m in classes)
+    if not members:
+        raise ConfigError("class inventory is empty")
+    mask = membership_mask(len(ts), members)
+    orphans = np.flatnonzero(~mask.any(axis=1))
+    if orphans.size:
+        labels = ", ".join(ts.label(int(t)) for t in orphans)
+        raise ConfigError(f"tags belonging to no equivalence class: {labels}")
+    return members, mask
 
 
 def uniform_model(ts: TagSet, classes) -> HmmModel:
     """Bias-free starting point: uniform initial and transitions, and per tag
     a uniform emission over the classes that contain it.
 
-    ``classes`` is a ClassStore or a sequence of member-id tuples.  A tag
-    contained in no class could never emit anything and is rejected.
+    ``classes`` is checked as ``class_membership`` describes.
     """
-    members = _class_members_arg(classes)
-    if not members:
-        raise ConfigError("class inventory is empty")
-    n, m = len(ts), len(members)
-    for c, mem in enumerate(members):
-        for t in mem:
-            if not 0 <= t < n:
-                raise ConfigError(f"class {c} references tag id {t} outside the tag set")
-    emission = np.zeros((n, m))
-    for c, mem in enumerate(members):
-        emission[list(mem), c] = 1.0
-    row_sums = emission.sum(axis=1)
-    orphans = np.nonzero(row_sums == 0)[0]
-    if orphans.size:
-        labels = ", ".join(ts.label(int(t)) for t in orphans)
-        raise ConfigError(f"tags belonging to no equivalence class: {labels}")
-    emission /= row_sums[:, None]
-    return HmmModel(
-        ts.labels,
-        members,
-        np.full(n, 1.0 / n),
-        np.full((n, n), 1.0 / n),
-        emission,
-    )
+    members, mask = class_membership(ts, classes)
+    n = len(ts)
+    return HmmModel(ts.labels, members, np.full(n, 1.0 / n), np.full((n, n), 1.0 / n),
+                    mask / mask.sum(axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)

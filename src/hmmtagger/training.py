@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ImpossibleSequenceError
-from .model import HmmModel, Packed, _class_members_arg, chunks, pack
+from .errors import DataError, ImpossibleSequenceError
+from .model import HmmModel, Packed, chunks, class_membership, pack
 from .tagset import TagSet
 
 REGIME_BIAS = "bias"
@@ -39,6 +39,9 @@ REGIME_COUNTED_ONLY = "counted-only"
 REGIMES = (REGIME_BIAS, REGIME_COUNTED, REGIME_COUNTED_ONLY)
 # re-estimation iterations each regime runs unless told otherwise
 DEFAULT_ITERATIONS = {REGIME_BIAS: 20, REGIME_COUNTED: 1, REGIME_COUNTED_ONLY: 0}
+# the inputs each regime needs; only ``bias`` also takes biases
+REGIME_NEEDS = {REGIME_BIAS: ("corpus",), REGIME_COUNTED: ("tagged", "corpus"),
+                REGIME_COUNTED_ONLY: ("tagged",)}
 
 
 @dataclass
@@ -268,11 +271,11 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
     smoothing floor is added to every structurally allowed cell before
     normalization so later re-estimation can move off observed zeros; cells
     where the tag is not a class member stay exactly 0.  Tags never observed
-    get uniform rows over their allowed cells.
+    get uniform rows over their allowed cells.  ``classes`` is checked as
+    ``model.class_membership`` describes.
     """
-    members = _class_members_arg(classes)
-    n, m = len(ts), len(members)
-    member_sets = [frozenset(mem) for mem in members]
+    members, allowed_emis = class_membership(ts, classes)
+    n, m = allowed_emis.shape
     initial_counts = np.zeros(n)
     transition_counts = np.zeros((n, n))
     emission_counts = np.zeros((n, m))
@@ -284,7 +287,7 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
                 raise DataError(f"sentence {s_index} token {t_index}: bad tag id {tag}")
             if not 0 <= class_id < m:
                 raise DataError(f"sentence {s_index} token {t_index}: unknown class id {class_id}")
-            if tag not in member_sets[class_id]:
+            if not allowed_emis[tag, class_id]:
                 labels = "+".join(ts.label(t) for t in members[class_id])
                 raise DataError(
                     f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
@@ -305,18 +308,38 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
     uniform_trans = np.full((n, n), 1.0 / n)
     transition = _normalize_rows(transition_counts, allowed_trans, smoothing_floor, uniform_trans)
 
-    allowed_emis = np.zeros((n, m), dtype=bool)
-    for c, mem in enumerate(members):
-        allowed_emis[list(mem), c] = True
-    if np.any(~allowed_emis.any(axis=1)):
-        orphan = int(np.nonzero(~allowed_emis.any(axis=1))[0][0])
-        raise ConfigError(f"tag {ts.label(orphan)!r} belongs to no equivalence class")
     uniform_emis = allowed_emis / allowed_emis.sum(axis=1, keepdims=True)
     emission = _normalize_rows(emission_counts, allowed_emis, smoothing_floor, uniform_emis)
 
     initial = initial_counts + smoothing_floor
     initial /= initial.sum()
     return HmmModel(ts.labels, members, initial, transition, emission)
+
+
+def regime_iterations(regime: str, given, iterations: Optional[int] = None,
+                      as_flags: bool = False) -> int:
+    """Check the inputs a training regime gets; return its iteration count.
+
+    ``given`` holds the names of the inputs supplied (``corpus``,
+    ``tagged``, ``biases``) and ``iterations`` the re-estimation iterations
+    asked for, None for the regime's default (``DEFAULT_ITERATIONS``).
+    ``bias`` needs a corpus and ``counted`` a tagged and an untagged corpus;
+    ``counted-only`` needs a tagged corpus and does no re-estimation.  Only
+    ``bias`` takes biases.  Raises ValueError naming the offending input,
+    spelt as a command-line flag (``--corpus``) with ``as_flags``.
+    """
+    name = (lambda i: f"--{i}") if as_flags else str
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    missing = [i for i in REGIME_NEEDS[regime] if i not in given]
+    if missing:
+        raise ValueError(f"regime {regime!r} needs {' and '.join(map(name, missing))}")
+    if regime != REGIME_BIAS and "biases" in given:
+        raise ValueError(f"regime {regime!r} takes no {name('biases')}; "
+                         "only regime 'bias' starts from biases")
+    if regime == REGIME_COUNTED_ONLY and iterations:
+        raise ValueError(f"regime {regime!r} does no re-estimation; {name('iters')} must be 0")
+    return DEFAULT_ITERATIONS[regime] if iterations is None else iterations
 
 
 def train_regime(regime: str, ts: TagSet, classes, *, corpus=None, tagged=None,
@@ -326,34 +349,18 @@ def train_regime(regime: str, ts: TagSet, classes, *, corpus=None, tagged=None,
     ``(model, trajectory, skipped)`` as ``baum_welch`` does.
 
     A regime picks the starting model and the default number of
-    re-estimation iterations (``DEFAULT_ITERATIONS``, used when ``config``
-    is None); ``config.smoothing_floor`` applies to counted initialization
-    as well as to re-estimation.
-
-    * ``bias``: needs ``corpus``; ``biases`` defaults to none (an empty bias
-      set reproduces fully unbiased training).
-    * ``counted``: needs ``tagged`` and ``corpus``.
-    * ``counted-only``: needs ``tagged``; a config with iterations is
-      rejected since no re-estimation takes place.
-
-    Only ``bias`` takes ``biases``.
+    re-estimation iterations (used when ``config`` is None); the inputs it
+    needs and rejects are checked by ``regime_iterations``.
+    ``config.smoothing_floor`` applies to counted initialization as well as
+    to re-estimation, and ``biases`` defaults to none (an empty bias set
+    reproduces fully unbiased training).
     """
     from .model import BiasSet, apply_biases, uniform_model
 
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    if regime == REGIME_BIAS and corpus is None:
-        raise ValueError("regime 'bias' needs an untagged corpus")
-    if regime == REGIME_COUNTED and (tagged is None or corpus is None):
-        raise ValueError("regime 'counted' needs a tagged corpus and an untagged corpus")
-    if regime == REGIME_COUNTED_ONLY and tagged is None:
-        raise ValueError("regime 'counted-only' needs a tagged corpus")
-    if regime != REGIME_BIAS and biases is not None:
-        raise ValueError(f"regime {regime!r} takes no biases")
-    cfg = config or TrainingConfig(iterations=DEFAULT_ITERATIONS[regime])
-    if regime == REGIME_COUNTED_ONLY and cfg.iterations:
-        raise ValueError("regime 'counted-only' does no re-estimation; "
-                         "the config must have 0 iterations")
+    given = [name for name, value in (("corpus", corpus), ("tagged", tagged), ("biases", biases))
+             if value is not None]
+    iterations = regime_iterations(regime, given, config and config.iterations)
+    cfg = config or TrainingConfig(iterations=iterations)
     if regime == REGIME_BIAS:
         start = apply_biases(uniform_model(ts, classes), biases or BiasSet.empty())
     else:

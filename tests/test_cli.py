@@ -98,6 +98,28 @@ class TestTrainCommand:
         assert code == 1
         assert "--iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("regime, data", [("counted", ["--corpus", "txt"]),
+                                              ("counted-only", [])])
+    def test_missing_tagged_is_usage_error(self, bench_dir, tmp_path, capsys, regime, data):
+        p = paths(bench_dir)
+        code = main(["train", "--regime", regime, "--tagset", p["tags"],
+                     "--lexicon", p["lex"], "--rules", p["rules"],
+                     *[p.get(a, a) for a in data], "--out", str(tmp_path / "x.model")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--tagged" in captured.err
+        assert captured.out == ""
+
+    def test_counted_only_with_zero_iters_is_accepted(self, bench_dir, tmp_path):
+        # zero iterations is what counted-only runs anyway
+        p = paths(bench_dir)
+        out = str(tmp_path / "c.model")
+        code = main(["train", "--regime", "counted-only", "--tagset", p["tags"],
+                     "--lexicon", p["lex"], "--rules", p["rules"],
+                     "--tagged", p["gold"], "--iters", "0", "--out", out])
+        assert code == 0
+        load_model(out, load_tagset(p["tags"])).validate()
+
     def test_bias_regime_writes_trajectory(self, bench_dir, tmp_path):
         p = paths(bench_dir)
         out = str(tmp_path / "b.model")
@@ -106,8 +128,8 @@ class TestTrainCommand:
                      "--lexicon", p["lex"], "--rules", p["rules"],
                      "--corpus", p["txt"], "--iters", "3", "--out", out, "--log", log])
         assert code == 0
-        rows = [line for line in open(log, encoding="utf-8")
-                if line.strip() and not line.startswith("#")]
+        with open(log, encoding="utf-8") as f:
+            rows = [line for line in f if line.strip() and not line.startswith("#")]
         assert len(rows) == 3
         lls = [float(r.split("\t")[1]) for r in rows]
         assert lls == sorted(lls)  # non-decreasing trajectory
@@ -119,8 +141,8 @@ class TestTrainCommand:
                      "--lexicon", p["lex"], "--rules", p["rules"],
                      "--tagged", p["gold"], "--corpus", p["txt"], "--out", out])
         assert code == 0
-        rows = [line for line in open(out + ".log", encoding="utf-8")
-                if line.strip() and not line.startswith("#")]
+        with open(out + ".log", encoding="utf-8") as f:
+            rows = [line for line in f if line.strip() and not line.startswith("#")]
         assert len(rows) == 1
 
     @pytest.mark.parametrize("flag, value", [("--iters", "-1"), ("--smoothing", "-1"),
@@ -189,7 +211,8 @@ class TestTagCommand:
         assert code == 0
         ts = load_tagset(p["tags"])
         tagged = list(read_tagged(out, ts))
-        untagged = [line for line in open(p["txt"], encoding="utf-8") if line.strip()]
+        with open(p["txt"], encoding="utf-8") as f:
+            untagged = [line for line in f if line.strip()]
         assert sum(len(s) for s in tagged) == len(untagged)
 
     def test_with_class_column(self, bench_dir, trained, tmp_path):
@@ -201,7 +224,8 @@ class TestTagCommand:
                      "--lexicon", p["lex"], "--rules", p["rules"],
                      "--pretokenized", "--with-class", str(src), out])
         assert code == 0
-        lines = [l for l in open(out, encoding="utf-8").read().splitlines() if l]
+        with open(out, encoding="utf-8") as f:
+            lines = [l for l in f.read().splitlines() if l]
         assert all(len(l.split("\t")) == 3 for l in lines)
         assert lines[0].split("\t")[2] == "T00"
 
@@ -242,7 +266,8 @@ class TestEvalCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "error rate 0.0000" in out
-        doc = json.load(open(json_out, encoding="utf-8"))
+        with open(json_out, encoding="utf-8") as f:
+            doc = json.load(f)
         assert doc["error_rate"] == 0.0
         assert doc["error_types"] == []
         assert "manifest" in doc
@@ -293,7 +318,8 @@ class TestEvalCommand:
         major = tmp_path / "major.map"
         major.write_text(
             "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
-        lines = open(p["gold"], encoding="utf-8").read().splitlines()
+        with open(p["gold"], encoding="utf-8") as f:
+            lines = f.read().splitlines()
         lines[0] += "\tT00+NOPE"
         pred = tmp_path / "pred.tagged"
         pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -315,7 +341,8 @@ class TestEvalCommand:
         major = tmp_path / "major.map"
         major.write_text(
             "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
-        text = open(p["gold"], encoding="utf-8").read()
+        with open(p["gold"], encoding="utf-8") as f:
+            text = f.read()
         sents = [block.splitlines() for block in text.strip("\n").split("\n\n")]
         pred = tmp_path / "pred.tagged"
         pred.write_text("".join("\n".join(s) + "\n\n" for s in edit(sents)), encoding="utf-8")
@@ -332,7 +359,8 @@ class TestEvalCommand:
         major.write_text(
             "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
         truncated = tmp_path / "short.gold"
-        lines = open(p["gold"], encoding="utf-8").read().splitlines()[:3]
+        with open(p["gold"], encoding="utf-8") as f:
+            lines = f.read().splitlines()[:3]
         truncated.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
         code = main(["eval", "--pred", str(truncated), "--gold", p["gold"],
                      "--tagset", p["tags"], "--lexicon", p["lex"],

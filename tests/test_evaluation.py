@@ -1,4 +1,6 @@
 import io
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hmmtagger.errors import AlignmentError, ConfigError
 from hmmtagger.evaluation import (
     CROSS_CLASS,
     INTRA_CLASS,
+    ClassFrequencyEntry,
+    ErrorTypeEntry,
+    EvalReport,
     MajorClassMap,
     ambiguity_kind,
     ambiguity_rate,
@@ -240,3 +245,120 @@ class TestProfileReport:
             assert key in doc
         assert doc["error_types"][0]["predicted_tag"] == "VINF"
         assert doc["error_types"][0]["class_size"] == 2
+
+
+def recount(pred, gold, classes, store, ts, major_map) -> EvalReport:
+    """The full report from plain per-token loops, untruncated."""
+    n = slots = ambiguous = intra = 0
+    class_counts, error_counts = Counter(), Counter()
+    for p_sent, g_sent, c_sent in zip(pred, gold, classes):
+        for p, g, c in zip(p_sent, g_sent, c_sent):
+            members = store.members(int(c))
+            n += 1
+            slots += len(members)
+            if len(members) > 1:
+                class_counts[int(c)] += 1
+                ambiguous += 1
+                intra += len({major_map.major(t) for t in members}) == 1
+            if p != g:
+                error_counts[(p, len(members), g)] += 1
+    wrong = sum(error_counts.values())
+    return EvalReport(
+        error_rate=wrong / n,
+        ambiguity_rate=slots / n,
+        n_tokens=n,
+        n_mismatches=wrong,
+        class_frequencies=[
+            ClassFrequencyEntry(f_ec=count / n, count=count,
+                                members=tuple(ts.label(t) for t in store.members(c)))
+            for c, count in sorted(class_counts.items(), key=lambda kv: (-kv[1], kv[0]))],
+        error_types=[
+            ErrorTypeEntry(rel_freq=count / wrong, predicted_tag=ts.label(p),
+                           class_size=size if size > 1 else None, gold_tag=ts.label(g),
+                           count=count)
+            for (p, size, g), count in sorted(error_counts.items(),
+                                              key=lambda kv: (-kv[1], kv[0]))],
+        intra_cross_split={"intra": intra / ambiguous if ambiguous else 0.0,
+                           "cross": (ambiguous - intra) / ambiguous if ambiguous else 0.0,
+                           "ambiguous_tokens": ambiguous},
+    )
+
+
+class TestTallyMatchesPerTokenRecount:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_field(self, seed, german_resources, elwis_major):
+        ts, store, _, _ = german_resources
+        rng = np.random.default_rng(seed)
+        # some classes much more frequent than others, so counts tie and differ
+        weights = rng.random(len(store)) ** 4
+        pred, gold, classes = [], [], []
+        for _ in range(int(rng.integers(1, 60))):
+            c_sent = rng.choice(len(store), size=int(rng.integers(1, 25)),
+                                p=weights / weights.sum())
+            g_sent = [int(rng.choice(store.members(int(c)))) for c in c_sent]
+            p_sent = tuple(g if rng.random() < 0.7 else int(rng.integers(len(ts)))
+                           for g in g_sent)
+            pred.append(p_sent)  # the shapes cmd_eval passes: tuples, lists, arrays
+            gold.append(g_sent)
+            classes.append(c_sent.astype(np.intp))
+        at = int(rng.integers(len(pred) + 1))  # an empty sentence counts nothing
+        pred.insert(at, ())
+        gold.insert(at, [])
+        classes.insert(at, np.empty(0, dtype=np.intp))
+        want = recount(pred, gold, classes, store, ts, elwis_major)
+        report = profile_report(pred, gold, classes, store, ts, elwis_major, top_k=None)
+        assert report == want
+        assert report.n_mismatches == sum(p != g for ps, gs in zip(pred, gold)
+                                          for p, g in zip(ps, gs))
+        assert error_rate(pred, gold) == want.error_rate
+        assert ambiguity_rate(classes, store) == want.ambiguity_rate
+        assert class_frequency_table(classes, store, ts) == want.class_frequencies
+        assert error_type_table(pred, gold, classes, store, ts) == want.error_types
+        top = profile_report(pred, gold, classes, store, ts, elwis_major, top_k=3)
+        assert top.class_frequencies == want.class_frequencies[:3]
+        assert top.error_types == want.error_types[:3]
+
+
+class TestMisalignmentMessages:
+    # (pred, gold, classes, message, sentence index); when several sequences
+    # are misaligned, pred against gold is reported before pred against classes
+    CASES = [
+        ([[0]], [[0], [0]], [[0]], "prediction has 1 sentences, gold has 2", None),
+        ([[0], [0, 1]], [[0], [0]], [[0], [0, 0]],
+         "sentence 1: prediction has 2 tokens, gold has 1", 1),
+        ([[0], [0]], [[0], [0]], [[0]], "prediction has 2 sentences, gold has 1", None),
+        ([[0, 1]], [[0, 1]], [[0]], "sentence 0: prediction has 2 tokens, gold has 1", 0),
+        ([[0], [0, 1]], [[0], [0]], [[0]], "sentence 1: prediction has 2 tokens, gold has 1", 1),
+        ([[], []], [[], []], [[], []], "cannot compute an error rate over zero tokens", None),
+    ]
+
+    @pytest.mark.parametrize("pred, gold, classes, message, index", CASES)
+    def test_profile_report(self, pred, gold, classes, message, index, elwis, elwis_major):
+        store = ClassStore()
+        store.intern([0])
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$") as err:
+            profile_report(pred, gold, classes, store, elwis, elwis_major)
+        assert err.value.sentence_index == index
+
+    @pytest.mark.parametrize("pred, gold, classes, message, index", CASES[:-1])
+    def test_error_type_table(self, pred, gold, classes, message, index, elwis):
+        store = ClassStore()
+        store.intern([0])
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$") as err:
+            error_type_table(pred, gold, classes, store, elwis)
+        assert err.value.sentence_index == index
+
+    @pytest.mark.parametrize("pred, gold, message, index", [
+        ([[0]], [[0], [0]], "prediction has 1 sentences, gold has 2", None),
+        ([[0], [0, 1]], [[0], [0]], "sentence 1: prediction has 2 tokens, gold has 1", 1),
+        ([[]], [[]], "cannot compute an error rate over zero tokens", None),
+    ])
+    def test_error_rate(self, pred, gold, message, index):
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$") as err:
+            error_rate(pred, gold)
+        assert err.value.sentence_index == index
+
+    def test_ambiguity_rate_over_zero_tokens(self):
+        with pytest.raises(AlignmentError,
+                           match="^cannot compute an ambiguity rate over zero tokens$"):
+            ambiguity_rate([[]], ClassStore())

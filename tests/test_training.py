@@ -14,6 +14,7 @@ from hmmtagger.training import (
     counted_init,
     expected_counts,
     forward_backward,
+    regime_iterations,
     train_regime,
 )
 
@@ -341,6 +342,16 @@ class TestCountedInit:
         with pytest.raises(DataError):
             counted_init([], tiny_tagset(1), [(0,)])
 
+    @pytest.mark.parametrize("member", [-1, 5])
+    def test_member_outside_tag_set_rejected(self, member):
+        # as uniform_model does; -1 used to wrap onto the last tag in the mask
+        classes = [(0,), (1,), (2,), (member,)]
+        message = f"^class 3 references tag id {member} outside the tag set$"
+        with pytest.raises(ConfigError, match=message):
+            counted_init([[(0, 0), (1, 1)]], tiny_tagset(3), classes)
+        with pytest.raises(ConfigError, match=message):
+            uniform_model(tiny_tagset(3), classes)
+
     def test_recovers_generator_within_tolerance(self):
         # sample a corpus from known parameters; counted frequencies converge
         from hmmtagger.synth import make_benchmark
@@ -409,6 +420,32 @@ class TestTrainRegime:
         with pytest.raises(ValueError, match="takes no biases"):
             train_regime(regime, tiny_tagset(1), [(0,)], tagged=[[(0, 0)]], corpus=[[0]],
                          biases=BiasSet())
+
+    @pytest.mark.parametrize("regime, given, iterations, expected", [
+        (REGIME_BIAS, {"corpus"}, None, 20),
+        (REGIME_BIAS, {"corpus", "biases"}, 3, 3),
+        (REGIME_COUNTED, {"tagged", "corpus"}, None, 1),
+        (REGIME_COUNTED, {"tagged", "corpus"}, 0, 0),
+        (REGIME_COUNTED_ONLY, {"tagged"}, None, 0),
+        (REGIME_COUNTED_ONLY, {"tagged"}, 0, 0),
+    ])
+    def test_regime_iterations(self, regime, given, iterations, expected):
+        assert regime_iterations(regime, given, iterations) == expected
+
+    @pytest.mark.parametrize("regime, given, iterations, named", [
+        (REGIME_BIAS, set(), None, "corpus"),
+        (REGIME_COUNTED, {"corpus"}, None, "tagged"),
+        (REGIME_COUNTED, {"tagged"}, None, "corpus"),
+        (REGIME_COUNTED_ONLY, {"corpus"}, None, "tagged"),
+        (REGIME_COUNTED, {"tagged", "corpus", "biases"}, None, "biases"),
+        (REGIME_COUNTED_ONLY, {"tagged", "biases"}, None, "biases"),
+        (REGIME_COUNTED_ONLY, {"tagged"}, 2, "iters"),
+    ])
+    def test_regime_rules_name_the_input(self, regime, given, iterations, named):
+        with pytest.raises(ValueError, match=rf"(?<!-)\b{named}\b"):
+            regime_iterations(regime, given, iterations)
+        with pytest.raises(ValueError, match=rf"--{named}\b"):
+            regime_iterations(regime, given, iterations, as_flags=True)
 
     def test_counted_only_rejects_config(self):
         ts = tiny_tagset(1)
