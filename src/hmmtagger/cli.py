@@ -18,13 +18,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 
 import numpy as np
 
 from . import synth as synthmod
-from .corpusio import read_pretokenized, read_tagged, tokenize_raw, write_pretokenized, write_tagged
+from .corpusio import (class_signatures, read_pretokenized, read_tagged, tokenize_raw,
+                       write_pretokenized, write_tagged)
 from .decoder import decode
 from .errors import AlignmentError, DataError, TaggerError
 from .evaluation import load_major_classes, profile_report
@@ -52,15 +53,7 @@ class RunManifest:
     options: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "subcommand": self.subcommand,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "options": self.options,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +115,7 @@ def cmd_train(args) -> int:
         # one (tag, class) iterator per sentence: counted_init reads each once
         tagged = []
         for sentence in read_tagged(inputs["tagged"], ts):
-            words, tags = zip(*sentence)
+            words, tags, *_signature = zip(*sentence)
             tagged.append(zip(tags, _classes(lex, rules, words)))
     if "corpus" in inputs:
         corpus = [_classes(lex, rules, s) for s in read_pretokenized(inputs["corpus"])]
@@ -167,28 +160,27 @@ def cmd_tag(args) -> int:
     rules = load_guesser_rules(inputs["rules"], ts, store)
 
     reader = read_pretokenized if args.pretokenized else tokenize_raw
-    labels = ts.labels
-    if args.with_class:
-        signatures = ["+".join(map(ts.label, members)) for members in store.all_members()]
-    skipped = 0
-    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+    signatures = class_signatures(ts, store.all_members()) if args.with_class else None
+    skipped = []
+
+    def tagged():  # decoded sentences, as write_tagged rows, in input order
         for first, chunk in chunks(reader(inputs["input"]), model.n_tags):
             classes = [_classes(lex, rules, words) for words in chunk]
             for i, result in enumerate(decode(model, classes)):
                 if isinstance(result, DataError):
                     if not args.skip_impossible:
                         raise result.at_sentence(first + i)
-                    skipped += 1
+                    skipped.append(first + i)
                     print(f"warning: sentence {first + i} skipped: {result}", file=sys.stderr)
-                    continue
-                if args.with_class:
-                    lines = [f"{word}\t{labels[tag]}\t{signatures[c]}\n"
-                             for word, tag, c in zip(chunk[i], result.tags, classes[i].tolist())]
+                elif signatures is None:
+                    yield list(zip(chunk[i], result.tags))
                 else:
-                    lines = [f"{word}\t{labels[tag]}\n" for word, tag in zip(chunk[i], result.tags)]
-                out.write("".join(lines) + "\n")
+                    yield list(zip(chunk[i], result.tags,
+                                   [signatures[c] for c in classes[i].tolist()]))
+
+    write_tagged(args.output, tagged(), ts)
     if skipped:
-        print(f"warning: {skipped} sentence(s) skipped", file=sys.stderr)
+        print(f"warning: {len(skipped)} sentence(s) skipped", file=sys.stderr)
     return EXIT_OK
 
 
@@ -220,7 +212,7 @@ def cmd_eval(args) -> int:
                 f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
                 sentence_index=i,
             )
-        (p_words, p_tags), (g_words, g_tags) = zip(*p), zip(*g)
+        (p_words, p_tags, *_), (g_words, g_tags, *_) = zip(*p), zip(*g)
         for j, (pw, gw) in enumerate(zip(p_words, g_words)):
             if pw != gw:
                 raise AlignmentError(f"sentence {i} token {j}: surface {pw!r} != {gw!r}",
@@ -260,30 +252,26 @@ def cmd_synth(args) -> int:
     )
     print(f"manifest {manifest.to_json()}")
 
-    rng = np.random.default_rng(args.seed)
-    ts = synthmod.synthetic_tagset(args.tags)
-    members = synthmod.sample_class_inventory(rng, args.tags, args.classes,
-                                              args.max_class_size)
-    generator = synthmod.sample_generator_model(rng, ts, members, args.ambiguity)
-    corpus = synthmod.sample_corpus(rng, generator, args.tokens)
+    try:
+        bench = synthmod.make_benchmark(
+            args.seed, args.tags, args.classes, train_tokens=0, tagged_tokens=args.tokens,
+            heldout_tokens=0, ambiguity=args.ambiguity, max_class_size=args.max_class_size)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
+    ts = bench.tagset
     with open(outputs["tagset"], "w", encoding="utf-8", newline="\n") as f:
-        for t in ts:
-            f.write(f"{t.label}\t{t.description}\n")
+        f.writelines(f"{t.label}\t{t.description}\n" for t in ts)
         f.write("!sentence_delim T00\n")
-    vocab = {c: [f"w{c:03d}{suffix}" for suffix in "abc"] for c in range(len(members))}
     with open(outputs["lexicon"], "w", encoding="utf-8", newline="\n") as f:
-        for c, mem in enumerate(members):
-            labels = " ".join(ts.label(t) for t in mem)
-            for word in vocab[c]:
-                f.write(f"{word}\t{labels}\n")
+        for members, forms in zip(bench.class_members, bench.forms):
+            labels = " ".join(map(ts.label, members))
+            f.writelines(f"{word}\t{labels}\n" for word in forms)
     with open(outputs["rules"], "w", encoding="utf-8", newline="\n") as f:
         f.write("DEFAULT U T00\nDEFAULT L T00\n")
-    save_model(generator, outputs["model"])
-    tagged = [[(vocab[c][int(rng.integers(len(vocab[c])))], tag) for tag, c in sentence]
-              for sentence in corpus]
-    write_tagged(outputs["gold"], tagged, ts)
-    write_pretokenized(outputs["untagged"], ([word for word, _ in s] for s in tagged))
+    save_model(bench.generator, outputs["model"])
+    write_tagged(outputs["gold"], bench.tagged_text, ts)
+    write_pretokenized(outputs["untagged"], ([word for word, _ in s] for s in bench.tagged_text))
     print(f"benchmark written with prefix {prefix}")
     return EXIT_OK
 

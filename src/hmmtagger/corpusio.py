@@ -7,8 +7,8 @@ The canonical corpus formats are line-oriented UTF-8:
             optional third column holds the token's class signature.
 
 A sentence is plain data: the untagged readers and the tokenizer yield it
-as a list of words, ``read_tagged`` as a list of ``(word, tag id)`` pairs,
-and the writers take the same shapes back.  Lines are decoded by
+as a list of words, ``read_tagged`` as a list of ``(word, tag id)`` pairs
+(or triples with the signature), and the writers take the same shapes back.  Lines are decoded by
 ``tagset.decoded_lines``, the decoder the config files use too: LF and CRLF
 line endings are accepted, nothing else is normalized, and a bad byte is a
 FormatError with its offset and line.  ``#`` is never a comment inside
@@ -24,6 +24,7 @@ attached.  Pretokenized input is the bit-exact, recommended route.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -89,8 +90,9 @@ def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int]]]:
     ``token<TAB>TAG`` file.
 
     An optional third column, as ``hmmtagger tag --with-class`` writes it,
-    is the token's class signature: ``+``-joined tag labels that include the
-    line's tag.  It is checked and dropped.
+    is the token's class signature (see ``class_signatures``); it must
+    include the line's tag, and the line then reads as a
+    ``(word, tag id, signature)`` triple.
     """
     sentence: list[tuple[str, int]] = []
     for lineno, line in decoded_lines(source):
@@ -113,34 +115,40 @@ def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int]]]:
             if None in members or tag not in members:
                 raise FormatError(f"line {lineno}: third column {signature!r} is not a class "
                                   f"signature containing {label!r}")
-        sentence.append((surface, tag))
+        sentence.append((surface, tag, signature) if sep else (surface, tag))
     if sentence:
         yield sentence
 
 
+def class_signatures(ts: TagSet, class_members) -> list[str]:
+    """Each class's signature column: its members' labels joined by ``+``."""
+    return ["+".join(map(ts.label, members)) for members in class_members]
+
+
+def _text_sink(sink):
+    """``sink`` itself if it has ``write``, else a new UTF-8 file at that path."""
+    if hasattr(sink, "write"):
+        return nullcontext(sink)
+    return open(os.fspath(sink), "w", encoding="utf-8", newline="\n")
+
+
 def write_tagged(sink, sentences, ts: TagSet) -> None:
-    """Write sentences of ``(word, tag id)`` pairs; the inverse of read_tagged."""
-    own = not hasattr(sink, "write")
-    stream = open(os.fspath(sink), "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    """The inverse of read_tagged, one ``write`` per sentence.  A sentence's
+    first row, a pair or a triple, decides its number of columns."""
+    labels = ts.labels
+    with _text_sink(sink) as stream:
         for sentence in sentences:
-            for surface, tag in sentence:
-                stream.write(f"{surface}\t{ts.label(tag)}\n")
-            stream.write("\n")
-    finally:
-        if own:
-            stream.close()
+            if sentence and len(sentence[0]) == 3:
+                lines = [f"{word}\t{labels[tag]}\t{sig}\n" for word, tag, sig in sentence]
+            else:
+                lines = [f"{word}\t{labels[tag]}\n" for word, tag in sentence]
+            stream.write("".join(lines) + "\n")
 
 
 def write_pretokenized(sink, sentences) -> None:
     """Write sentences of words, one per line, with blank-line sentence breaks."""
-    own = not hasattr(sink, "write")
-    stream = open(os.fspath(sink), "w", encoding="utf-8", newline="\n") if own else sink
-    try:
+    with _text_sink(sink) as stream:
         for sentence in sentences:
             for surface in sentence:
                 stream.write(surface + "\n")
             stream.write("\n")
-    finally:
-        if own:
-            stream.close()

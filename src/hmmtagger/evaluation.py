@@ -54,7 +54,6 @@ class MajorClassMap:
 
     def __init__(self, by_tag_id: Sequence[str], ts: TagSet):
         self._by_tag_id = tuple(by_tag_id)
-        self._ts = ts
         if len(self._by_tag_id) != len(ts):
             raise ConfigError("major-class map does not cover the whole tag set")
         for major in self._by_tag_id:

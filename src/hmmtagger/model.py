@@ -325,13 +325,6 @@ class BiasSet:
             if b.weight < 0:
                 raise ConfigError("transition bias weights must be >= 0")
 
-    def __len__(self) -> int:
-        return len(self.transition_biases) + len(self.symbol_biases)
-
-    @classmethod
-    def empty(cls) -> "BiasSet":
-        return cls()
-
 
 def load_biases(source, ts: TagSet) -> BiasSet:
     """Parse a bias file, a config file (see ``tagset.config_lines``).

@@ -5,6 +5,12 @@ every quantitative check in this package runs instead on data sampled from a
 known generator model.  The generator's parameters are kept, which makes
 oracle comparisons (decode with the true model) possible, and everything is
 a pure function of the seed.
+
+``make_benchmark`` is the one composition of the samplers; it also gives
+each class three word forms ``w{class:03d}{a,b,c}`` and draws one per token
+of the tagged corpus.  ``hmmtagger synth`` writes that tagged corpus, from a
+generator without twin tag pairs, so it is not the benchmark of acceptance
+criterion 06 (ambiguity 1.6, transition concentration 0.25, three twin pairs).
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from .tagset import Tag, TagSet
 
 def synthetic_tagset(n_tags: int) -> TagSet:
     """Tags T00..Tnn with T00 doubling as the sentence delimiter."""
-    labels = [f"T{i:02d}" for i in range(n_tags)]
-    return TagSet([Tag(i, lab, "synthetic") for i, lab in enumerate(labels)], {0})
+    return TagSet([Tag(i, f"T{i:02d}", "synthetic") for i in range(n_tags)], {0})
 
 
 def sample_class_inventory(rng: np.random.Generator, n_tags: int, n_classes: int,
@@ -175,6 +180,8 @@ class SynthBenchmark:
     train_tagged: list[list[tuple[int, int]]]  # for counted initialization
     train_untagged: list[list[int]]  # class sequences for re-estimation
     heldout: list[list[tuple[int, int]]]  # evaluation set with gold tags
+    forms: tuple[tuple[str, ...], ...]  # per class id, its lexicon's word forms
+    tagged_text: list[list[tuple[str, int]]]  # train_tagged as (form, tag id)
 
     @property
     def heldout_classes(self) -> list[list[int]]:
@@ -189,16 +196,19 @@ def make_benchmark(seed: int, n_tags: int = 10, n_classes: int = 30,
                    train_tokens: int = 50_000, tagged_tokens: int = 5_000,
                    heldout_tokens: int = 5_000, ambiguity: float = 1.5,
                    transition_concentration: float = 0.15,
-                   twin_pairs: int = 0) -> SynthBenchmark:
-    """Sample a full benchmark from one seed."""
+                   twin_pairs: int = 0, max_class_size: int = 4) -> SynthBenchmark:
+    """Sample a full benchmark from one seed; word forms are drawn after every corpus."""
     rng = np.random.default_rng(seed)
     ts = synthetic_tagset(n_tags)
-    members = sample_class_inventory(rng, n_tags, n_classes, twin_pairs=twin_pairs)
+    members = sample_class_inventory(rng, n_tags, n_classes, max_class_size, twin_pairs)
     generator = sample_generator_model(rng, ts, members, ambiguity,
                                        transition_concentration)
     train = sample_corpus(rng, generator, train_tokens)
     tagged = sample_corpus(rng, generator, tagged_tokens)
     heldout = sample_corpus(rng, generator, heldout_tokens)
+    forms = tuple(tuple(f"w{c:03d}{s}" for s in "abc") for c in range(len(members)))
+    tagged_text = [[(forms[c][int(rng.integers(len(forms[c])))], tag) for tag, c in sent]
+                   for sent in tagged]
     return SynthBenchmark(
         tagset=ts,
         class_members=members,
@@ -206,4 +216,6 @@ def make_benchmark(seed: int, n_tags: int = 10, n_classes: int = 30,
         train_tagged=tagged,
         train_untagged=[[c for _t, c in sent] for sent in train],
         heldout=heldout,
+        forms=forms,
+        tagged_text=tagged_text,
     )

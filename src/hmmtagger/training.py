@@ -61,7 +61,7 @@ class TrainingConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.smoothing_floor < 0:
+        if not self.smoothing_floor >= 0:  # NaN too
             raise ValueError("smoothing_floor must be >= 0")
 
 
@@ -362,7 +362,7 @@ def train_regime(regime: str, ts: TagSet, classes, *, corpus=None, tagged=None,
     iterations = regime_iterations(regime, given, config and config.iterations)
     cfg = config or TrainingConfig(iterations=iterations)
     if regime == REGIME_BIAS:
-        start = apply_biases(uniform_model(ts, classes), biases or BiasSet.empty())
+        start = apply_biases(uniform_model(ts, classes), biases or BiasSet())
     else:
         start = counted_init(tagged, ts, classes, cfg.smoothing_floor)
     return baum_welch(start, corpus, cfg, on_iteration=on_iteration,

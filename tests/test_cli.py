@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from hmmtagger.cli import main
-from hmmtagger.corpusio import read_tagged
+from hmmtagger.corpusio import class_signatures, read_tagged, write_tagged
 from hmmtagger.lexicon import load_lexicon
 from hmmtagger.model import load_model
+from hmmtagger.synth import make_benchmark
 from hmmtagger.tagset import load_tagset
 
 
@@ -67,6 +68,31 @@ class TestSynthCommand:
                      "--seed", "1", "--out-prefix", str(tmp_path / "x")]) == 1
         assert "classes" in capsys.readouterr().err
 
+    def test_writes_the_tagged_corpus_of_make_benchmark(self, tmp_path):
+        # one generator: the files of `synth` hold make_benchmark's tagged
+        # corpus, whatever numbers the installed numpy draws
+        prefix = str(tmp_path / "g")
+        assert main(["synth", "--tags", "6", "--classes", "15", "--tokens", "700",
+                     "--seed", "3", "--ambiguity", "1.8", "--max-class-size", "3",
+                     "--out-prefix", prefix]) == 0
+        bench = make_benchmark(3, 6, 15, train_tokens=0, tagged_tokens=700,
+                               heldout_tokens=0, ambiguity=1.8, max_class_size=3)
+        p = paths(prefix)
+        ts = load_tagset(p["tags"])
+        lex = load_lexicon(p["lex"], ts)
+        sentences = list(read_tagged(p["gold"], ts))
+        assert sentences == bench.tagged_text
+        assert [[(tag, lex.entries[word]) for word, tag in s] for s in sentences] \
+            == bench.train_tagged
+        assert lex.store.all_members() == bench.class_members
+        assert max(map(len, bench.class_members)) == 3
+
+    def test_max_class_size_below_two_is_usage_error(self, tmp_path, capsys):
+        assert main(["synth", "--tags", "5", "--classes", "12", "--tokens", "10",
+                     "--seed", "1", "--max-class-size", "1",
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        assert "max_class_size" in capsys.readouterr().err
+
     def test_manifest_echoed(self, tmp_path, capsys):
         assert main(["synth", "--tags", "3", "--classes", "6", "--tokens", "50",
                      "--seed", "1", "--out-prefix", str(tmp_path / "m")]) == 0
@@ -88,6 +114,23 @@ class TestTrainCommand:
         ts = load_tagset(p["tags"])
         load_model(out, ts).validate()
         assert os.path.isfile(out + ".log")
+
+    def test_tagged_corpus_may_carry_the_class_column(self, bench_dir, tmp_path):
+        p = paths(bench_dir)
+        ts = load_tagset(p["tags"])
+        lex = load_lexicon(p["lex"], ts)
+        signatures = class_signatures(ts, lex.store.all_members())
+        with_class = str(tmp_path / "gold3")
+        write_tagged(with_class, [[(w, t, signatures[lex.entries[w]]) for w, t in s]
+                                  for s in read_tagged(p["gold"], ts)], ts)
+        models = []
+        for i, tagged in enumerate((p["gold"], with_class)):
+            out = tmp_path / f"{i}.model"
+            assert main(["train", "--regime", "counted-only", "--tagset", p["tags"],
+                         "--lexicon", p["lex"], "--rules", p["rules"],
+                         "--tagged", tagged, "--out", str(out)]) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_counted_only_with_iters_is_usage_error(self, bench_dir, tmp_path, capsys):
         p = paths(bench_dir)

@@ -113,8 +113,11 @@ class TestTagged:
         assert len(sents) == 1
         assert sents == [[("Der", ts.tag_id("ART"))]]
 
-    def test_round_trip_identity(self, ts):
-        text = "Der\tART\nHund\tNN\n\n#\tNN\n.\t$.\n\n"
+    @pytest.mark.parametrize("text", [
+        "Der\tART\nHund\tNN\n\n#\tNN\n.\t$.\n\n",
+        "Der\tART\tART+NN\nHund\tNN\tNN\n\n#\tNN\tART+NN\n.\t$.\t$.\n\n",
+    ], ids=["two-column", "three-column"])
+    def test_round_trip_identity(self, ts, text):
         sents = list(read_tagged(io.StringIO(text), ts))
         buf = io.StringIO()
         write_tagged(buf, sents, ts)
@@ -137,7 +140,7 @@ class TestTagged:
 
     def test_class_signature_column_accepted(self, ts):
         sents = list(read_tagged(io.StringIO("Der\tART\tART+NN\nHund\tNN\tNN\n"), ts))
-        assert sents == [[("Der", ts.tag_id("ART")), ("Hund", ts.tag_id("NN"))]]
+        assert sents == [[("Der", ts.tag_id("ART"), "ART+NN"), ("Hund", ts.tag_id("NN"), "NN")]]
 
     @pytest.mark.parametrize("signature", ["NN", "ART+NOPE", "", "ART\tNN"])
     def test_bad_third_column_names_line(self, ts, signature):

@@ -175,10 +175,9 @@ class TestAmbiguityKind:
         with pytest.raises(ValueError):
             ambiguity_kind((0,), elwis_major)
 
-    def test_unmapped_tag_rejected(self, elwis):
+    def test_unmapped_tag_rejected(self):
         partial = MajorClassMap.__new__(MajorClassMap)
         partial._by_tag_id = ("noun",)
-        partial._ts = elwis
         with pytest.raises(ConfigError):
             ambiguity_kind((0, 5), partial)
 
