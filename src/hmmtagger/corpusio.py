@@ -85,7 +85,7 @@ def tokenize_raw(source, abbreviations: Iterable[str] | None = None) -> Iterator
         yield sentence
 
 
-def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int]]]:
+def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int] | tuple[str, int, str]]]:
     """Stream tagged sentences, as lists of ``(word, tag id)`` pairs, from a
     ``token<TAB>TAG`` file.
 
@@ -94,7 +94,7 @@ def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int]]]:
     include the line's tag, and the line then reads as a
     ``(word, tag id, signature)`` triple.
     """
-    sentence: list[tuple[str, int]] = []
+    sentence: list[tuple] = []
     for lineno, line in decoded_lines(source):
         if line == "":
             if sentence:

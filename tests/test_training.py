@@ -459,10 +459,5 @@ def test_training_config_validation():
         TrainingConfig(iterations=-1)
     with pytest.raises(ValueError):
         TrainingConfig(smoothing_floor=-0.1)
-
-
-def test_nan_smoothing_floor_rejected_before_training():
-    # NaN fails every comparison, so a `< 0` check let it through and the
-    # regime trained an all-NaN model that only save_model rejected
     with pytest.raises(ValueError, match="smoothing_floor"):
-        TrainingConfig(iterations=1, smoothing_floor=float("nan"))
+        TrainingConfig(smoothing_floor=float("nan"))
