@@ -8,12 +8,12 @@ The canonical corpus formats are line-oriented UTF-8:
 
 A sentence is plain data: the untagged readers and the tokenizer yield it
 as a list of words, ``read_tagged`` as a list of ``(word, tag id)`` pairs
-(or triples with the signature), and the writers take the same shapes back.  Lines are decoded by
-``tagset.decoded_lines``, the decoder the config files use too: LF and CRLF
-line endings are accepted, nothing else is normalized, and a bad byte is a
-FormatError with its offset and line.  ``#`` is never a comment inside
-corpora (a token may legitimately be ``#``).  All readers stream sentence by
-sentence, so corpora of millions of tokens never need to fit in memory.
+(triples with a signature), and the writers take the same shapes back.
+Lines are decoded by ``tagset.decoded_lines``, as in config files: LF and
+CRLF line endings are accepted, nothing else is normalized, and a bad byte
+is a FormatError with its offset and line.  ``#`` is never a comment inside
+corpora (a token may be ``#``).  All readers stream sentence by sentence,
+so corpora of millions of tokens never need to fit in memory.
 
 The bundled tokenizer is deliberately minimal: whitespace splitting, trailing
 punctuation detached as separate tokens, a sentence break after a detached
