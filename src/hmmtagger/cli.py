@@ -234,9 +234,6 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     if args.tags < 1:
         raise UsageError("--tags must be >= 1")
-    if args.classes < args.tags:
-        raise UsageError(f"--classes must be >= --tags ({args.tags}): "
-                         "every tag needs a class to appear in")
     if args.tokens < 1:
         raise UsageError("--tokens must be >= 1")
     prefix = args.out_prefix

@@ -258,13 +258,14 @@ def membership_mask(n_tags: int, class_members) -> np.ndarray:
     return mask
 
 
-def class_membership(ts: TagSet, classes):
-    """``(members, mask)`` for a starting model over ``ts``: the class
-    inventory ``classes`` (a ClassStore or a sequence of member-id tuples)
-    as sorted member tuples, and its ``membership_mask``.
+def uniform_model(ts: TagSet, classes) -> HmmModel:
+    """Bias-free starting point: uniform initial and transitions, and per tag
+    a uniform emission over the classes that contain it.
 
-    Raises ConfigError for an empty inventory, a member outside the tag
-    set, and a tag contained in no class, which could never emit anything.
+    ``classes`` is the class inventory, a ClassStore or a sequence of
+    member-id tuples.  Raises ConfigError for an empty inventory, a member
+    outside the tag set, and a tag contained in no class, which could never
+    emit anything.
     """
     if isinstance(classes, ClassStore):
         members = classes.all_members()
@@ -277,16 +278,6 @@ def class_membership(ts: TagSet, classes):
     if orphans.size:
         labels = ", ".join(ts.label(int(t)) for t in orphans)
         raise ConfigError(f"tags belonging to no equivalence class: {labels}")
-    return members, mask
-
-
-def uniform_model(ts: TagSet, classes) -> HmmModel:
-    """Bias-free starting point: uniform initial and transitions, and per tag
-    a uniform emission over the classes that contain it.
-
-    ``classes`` is checked as ``class_membership`` describes.
-    """
-    members, mask = class_membership(ts, classes)
     n = len(ts)
     return HmmModel(ts.labels, members, np.full(n, 1.0 / n), np.full((n, n), 1.0 / n),
                     mask / mask.sum(axis=1, keepdims=True))
@@ -298,12 +289,23 @@ class TransitionBias:
     target: int
     weight: float  # 0 means prohibition
 
+    def __post_init__(self):
+        if not 0 <= self.weight < np.inf:  # NaN fails too
+            raise ConfigError(f"transition bias weight must be finite and >= 0, not {self.weight}")
+
 
 @dataclass(frozen=True)
 class SymbolBias:
     members: tuple[int, ...]  # class signature, sorted tag ids
     preferred: int
     weight: float
+
+    def __post_init__(self):
+        if not 0 < self.weight < np.inf:  # NaN fails too
+            raise ConfigError(f"symbol bias weight must be finite and > 0, not {self.weight}")
+        if self.preferred not in self.members:
+            raise ConfigError(f"preferred tag {self.preferred} is not in the class signature "
+                              f"{self.members}")
 
 
 class BiasSet:
@@ -314,68 +316,52 @@ class BiasSet:
     def __init__(self, transition_biases=(), symbol_biases=()):
         self.transition_biases: tuple[TransitionBias, ...] = tuple(transition_biases)
         self.symbol_biases: tuple[SymbolBias, ...] = tuple(symbol_biases)
-        for b in self.symbol_biases:
-            if b.preferred not in b.members:
-                raise ConfigError(
-                    f"symbol bias prefers tag {b.preferred} outside its class signature {b.members}"
-                )
-            if b.weight <= 0:
-                raise ConfigError("symbol bias weights must be positive")
-        for b in self.transition_biases:
-            if b.weight < 0:
-                raise ConfigError("transition bias weights must be >= 0")
 
 
 def load_biases(source, ts: TagSet) -> BiasSet:
     """Parse a bias file, a config file (see ``tagset.config_lines``).
 
     Lines are ``TRANS <FROM> <TO> <weight>`` or
-    ``SYM <TAG1+TAG2+...> <PREFERRED> <weight>``.
+    ``SYM <TAG1+TAG2+...> <PREFERRED> <weight>``.  Each error names its line.
     """
     trans: list[TransitionBias] = []
     syms: list[SymbolBias] = []
     for lineno, line in config_lines(source):
         fields = line.split()
-        if fields[0] == "TRANS":
-            if len(fields) != 4:
-                raise ConfigError(f"line {lineno}: expected TRANS <FROM> <TO> <weight>")
-            src, dst = ts.tag_id(fields[1]), ts.tag_id(fields[2])
-            if src is None or dst is None:
-                raise ConfigError(f"line {lineno}: unknown tag in bias {line!r}")
-            weight = _parse_weight(fields[3], lineno)
-            if weight < 0:
-                raise ConfigError(f"line {lineno}: negative transition weight")
-            trans.append(TransitionBias(src, dst, weight))
-        elif fields[0] == "SYM":
-            if len(fields) != 4:
-                raise ConfigError(f"line {lineno}: expected SYM <TAG1+TAG2+...> <PREFERRED> <weight>")
-            member_ids = []
-            for label in fields[1].split("+"):
-                t = ts.tag_id(label)
-                if t is None:
-                    raise ConfigError(f"line {lineno}: unknown tag {label!r} in class signature")
-                member_ids.append(t)
-            preferred = ts.tag_id(fields[2])
-            if preferred is None:
-                raise ConfigError(f"line {lineno}: unknown preferred tag {fields[2]!r}")
-            weight = _parse_weight(fields[3], lineno)
-            if weight <= 0:
-                raise ConfigError(f"line {lineno}: symbol bias weight must be positive")
-            if preferred not in member_ids:
-                raise ConfigError(
-                    f"line {lineno}: preferred tag {fields[2]!r} is not in the class signature"
-                )
-            syms.append(SymbolBias(tuple(sorted(set(member_ids))), preferred, weight))
-        else:
-            raise ConfigError(f"line {lineno}: unknown bias kind {fields[0]!r}")
+        try:
+            if fields[0] == "TRANS":
+                if len(fields) != 4:
+                    raise ConfigError("expected TRANS <FROM> <TO> <weight>")
+                src, dst = ts.tag_id(fields[1]), ts.tag_id(fields[2])
+                if src is None or dst is None:
+                    raise ConfigError(f"unknown tag in bias {line!r}")
+                trans.append(TransitionBias(src, dst, _parse_weight(fields[3])))
+            elif fields[0] == "SYM":
+                if len(fields) != 4:
+                    raise ConfigError("expected SYM <TAG1+TAG2+...> <PREFERRED> <weight>")
+                member_ids = []
+                for label in fields[1].split("+"):
+                    t = ts.tag_id(label)
+                    if t is None:
+                        raise ConfigError(f"unknown tag {label!r} in class signature")
+                    member_ids.append(t)
+                preferred = ts.tag_id(fields[2])
+                if preferred is None:
+                    raise ConfigError(f"unknown preferred tag {fields[2]!r}")
+                syms.append(SymbolBias(tuple(sorted(set(member_ids))), preferred,
+                                       _parse_weight(fields[3])))
+            else:
+                raise ConfigError(f"unknown bias kind {fields[0]!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return BiasSet(trans, syms)
 
 
-def _parse_weight(text: str, lineno: int) -> float:
+def _parse_weight(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"line {lineno}: bad weight {text!r}") from None
+        raise ConfigError(f"bad weight {text!r}") from None
 
 
 def apply_biases(model: HmmModel, biases: BiasSet) -> HmmModel:

@@ -90,8 +90,10 @@ def sample_generator_model(rng: np.random.Generator, ts: TagSet,
     is what makes transition knowledge worth injecting during training.  Per
     tag, emission mass is split between its singleton class and its
     ambiguous classes so that the expected per-token class size is about
-    ``ambiguity``.
+    ``ambiguity``, which must be finite.
     """
+    if not np.isfinite(ambiguity):
+        raise ValueError(f"ambiguity must be finite, not {ambiguity}")
     n, m = len(ts), len(class_members)
     initial = rng.dirichlet(np.ones(n))
     transition = np.vstack([rng.dirichlet(np.full(n, transition_concentration)) for _ in range(n)])

@@ -5,8 +5,9 @@ Three regimes produce models:
 * ``bias``          -- seed a uniform model with starting biases, then run
                        expectation-maximization over untagged text;
 * ``counted``       -- initialize from relative frequencies counted in a
-                       tagged corpus, then smooth with (by default) a single
-                       re-estimation iteration over untagged text;
+                       tagged corpus (one re-estimation of the uniform start
+                       from observed counts), then smooth with (by default) a
+                       single re-estimation iteration over untagged text;
 * ``counted-only``  -- the counted initialization alone, no re-estimation.
 
 The forward-backward recursions use per-position scaling (Rabiner 1989), so
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError, ImpossibleSequenceError
-from .model import HmmModel, Packed, chunks, class_membership, pack
+from .model import BiasSet, HmmModel, Packed, apply_biases, chunks, pack, uniform_model
 from .tagset import TagSet
 
 REGIME_BIAS = "bias"
@@ -66,7 +67,8 @@ class TrainingConfig:
 
 
 class SufficientStats:
-    """Expected counts from forward-backward, plus the log-likelihood.
+    """Expected counts from forward-backward, or counts observed in a tagged
+    corpus (``counted_init``), plus the log-likelihood.
 
     Stats from distinct sentences add, so a corpus can be reduced in any
     grouping.  ``expected_counts`` adds one packed chunk of at most
@@ -263,7 +265,8 @@ def baum_welch(model: HmmModel, corpus: Iterable[Sequence[int]], config: Trainin
 
 def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classes,
                  smoothing_floor: float = 1e-6) -> HmmModel:
-    """Relative-frequency model from a tagged corpus.
+    """Relative-frequency model from a tagged corpus: one re-estimation of
+    ``uniform_model(ts, classes)`` from observed instead of expected counts.
 
     ``tagged`` yields sentences of ``(tag_id, class_id)`` pairs; each token's
     gold tag must be a member of its class, otherwise the lexicon and the
@@ -271,14 +274,13 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
     smoothing floor is added to every structurally allowed cell before
     normalization so later re-estimation can move off observed zeros; cells
     where the tag is not a class member stay exactly 0.  Tags never observed
-    get uniform rows over their allowed cells.  ``classes`` is checked as
-    ``model.class_membership`` describes.
+    keep the uniform rows.  ``classes`` is checked as ``uniform_model``
+    describes.
     """
-    members, allowed_emis = class_membership(ts, classes)
-    n, m = allowed_emis.shape
-    initial_counts = np.zeros(n)
-    transition_counts = np.zeros((n, n))
-    emission_counts = np.zeros((n, m))
+    start = uniform_model(ts, classes)
+    n, m = start.n_tags, start.n_classes
+    allowed_emis = start.allowed_emission_mask()
+    counts = SufficientStats.zeros(n, m)
     n_sentences = 0
     for s_index, sentence in enumerate(tagged):
         prev = None
@@ -288,32 +290,22 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
             if not 0 <= class_id < m:
                 raise DataError(f"sentence {s_index} token {t_index}: unknown class id {class_id}")
             if not allowed_emis[tag, class_id]:
-                labels = "+".join(ts.label(t) for t in members[class_id])
+                labels = "+".join(ts.label(t) for t in start.class_members[class_id])
                 raise DataError(
                     f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
                     f"is not a member of the token's class {{{labels}}}"
                 )
             if prev is None:
-                initial_counts[tag] += 1
+                counts.initial_counts[tag] += 1
             else:
-                transition_counts[prev, tag] += 1
-            emission_counts[tag, class_id] += 1
+                counts.transition_counts[prev, tag] += 1
+            counts.emission_counts[tag, class_id] += 1
             prev = tag
         if prev is not None:
             n_sentences += 1
     if n_sentences == 0:
         raise DataError("tagged corpus is empty")
-
-    allowed_trans = np.ones((n, n), dtype=bool)
-    uniform_trans = np.full((n, n), 1.0 / n)
-    transition = _normalize_rows(transition_counts, allowed_trans, smoothing_floor, uniform_trans)
-
-    uniform_emis = allowed_emis / allowed_emis.sum(axis=1, keepdims=True)
-    emission = _normalize_rows(emission_counts, allowed_emis, smoothing_floor, uniform_emis)
-
-    initial = initial_counts + smoothing_floor
-    initial /= initial.sum()
-    return HmmModel(ts.labels, members, initial, transition, emission)
+    return _reestimate(start, counts, smoothing_floor)
 
 
 def regime_iterations(regime: str, given, iterations: Optional[int] = None,
@@ -355,8 +347,6 @@ def train_regime(regime: str, ts: TagSet, classes, *, corpus=None, tagged=None,
     to re-estimation, and ``biases`` defaults to none (an empty bias set
     reproduces fully unbiased training).
     """
-    from .model import BiasSet, apply_biases, uniform_model
-
     given = [name for name, value in (("corpus", corpus), ("tagged", tagged), ("biases", biases))
              if value is not None]
     iterations = regime_iterations(regime, given, config and config.iterations)

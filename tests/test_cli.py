@@ -93,6 +93,14 @@ class TestSynthCommand:
                      "--out-prefix", str(tmp_path / "x")]) == 1
         assert "max_class_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ambiguity", ["nan", "inf"])
+    def test_non_finite_ambiguity_is_usage_error(self, tmp_path, capsys, ambiguity):
+        assert main(["synth", "--tags", "5", "--classes", "12", "--tokens", "10",
+                     "--seed", "1", "--ambiguity", ambiguity,
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        assert "ambiguity" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_manifest_echoed(self, tmp_path, capsys):
         assert main(["synth", "--tags", "3", "--classes", "6", "--tokens", "50",
                      "--seed", "1", "--out-prefix", str(tmp_path / "m")]) == 0

@@ -145,16 +145,29 @@ class TestBiasFile:
             load_biases(io.StringIO("TRANS ART NOPE 2\n"), elwis)
 
     def test_negative_weight_rejected(self, elwis):
-        with pytest.raises(ConfigError):
-            load_biases(io.StringIO("TRANS ART NN -1\n"), elwis)
+        for weight in ("-1", "nan", "inf"):  # a weight must also be finite
+            with pytest.raises(ConfigError, match="line 1"):
+                load_biases(io.StringIO(f"TRANS ART NN {weight}\n"), elwis)
 
     def test_preferred_outside_signature_rejected(self, elwis):
         with pytest.raises(ConfigError, match="not in the class signature"):
             load_biases(io.StringIO("SYM NN+NE ART 2\n"), elwis)
 
     def test_zero_symbol_weight_rejected(self, elwis):
+        for weight in ("0", "nan", "inf"):  # a weight must also be finite
+            with pytest.raises(ConfigError, match="line 1"):
+                load_biases(io.StringIO(f"SYM NN+NE NN {weight}\n"), elwis)
+
+    @pytest.mark.parametrize("cls, args", [
+        (TransitionBias, (0, 1, float("nan"))),
+        (TransitionBias, (0, 1, -0.5)),
+        (SymbolBias, ((0, 1), 0, float("inf"))),
+        (SymbolBias, ((0, 1), 0, 0.0)),
+        (SymbolBias, ((0, 1), 2, 1.0)),
+    ])
+    def test_bias_values_checked_on_construction(self, cls, args):
         with pytest.raises(ConfigError):
-            load_biases(io.StringIO("SYM NN+NE NN 0\n"), elwis)
+            cls(*args)
 
     def test_garbage_line_rejected(self, elwis):
         with pytest.raises(ConfigError, match="line 1"):
