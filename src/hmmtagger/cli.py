@@ -90,8 +90,8 @@ def _classes(lex, rules, words) -> np.ndarray:
 def cmd_train(args) -> int:
     if args.iters is not None and args.iters < 0:
         raise UsageError("--iters must be >= 0")
-    if not args.smoothing >= 0:
-        raise UsageError("--smoothing must be >= 0")
+    if not 0 <= args.smoothing < np.inf:  # NaN fails too
+        raise UsageError("--smoothing must be finite and >= 0")
     inputs = _resolve_inputs(tagset=args.tagset, lexicon=args.lexicon, rules=args.rules,
                              biases=args.biases, tagged=args.tagged, corpus=args.corpus)
     try:

@@ -21,7 +21,8 @@ tag id.
 ``(k, K, K)`` add and argmax per position for the ``k`` sentences still
 running there, then backtracks all of them at once; a chunk of one
 sentence runs a plain ``K x K`` loop, as the batched gathers cost more than
-they save there.
+they save there.  A row of only -inf scores marks a dead sentence
+(``Packed.impossible``, as in the E-step).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ImpossibleSequenceError
+from .errors import DataError
 from .model import HmmModel, Packed, pack
 
 
@@ -69,67 +70,47 @@ def decode(model: HmmModel, sentences: Sequence[Sequence[int]]) -> list:
     if not packed.ids.size:
         return results
     kernel = _decode_one if len(sentences) == 1 else _decode_packed
-    path, log_probs, dead_at = kernel(model.member_tables(), packed)
+    path, score = kernel(model.member_tables(), packed)
+    best = score.max(axis=1)  # at a sentence's last row, its log-probability
+    impossible = packed.impossible(best == -np.inf)
 
     # from sorted order back to chunk order; an invalid sentence has length 0
     lengths = np.empty_like(packed.lengths)
     lengths[packed.order] = packed.lengths
-    running = packed.order[:packed.live[0]]
-    log_prob, dead = np.zeros(len(sentences)), np.full_like(lengths, -1)
-    log_prob[running], dead[running] = log_probs, dead_at
-    tags = path[packed.rows].tolist()
+    tags, log_prob = path[packed.rows].tolist(), best[packed.rows].tolist()
     end = 0
-    for i, (length, score, position) in enumerate(zip(lengths.tolist(), log_prob.tolist(),
-                                                      dead.tolist())):
+    for i, length in enumerate(lengths.tolist()):
         end += length
-        if position >= 0:
-            results[i] = ImpossibleSequenceError.dying_at(position, i)
-        elif length:
-            results[i] = Decoding(tuple(tags[end - length:end]), score)
+        if length:
+            results[i] = impossible.get(i) or Decoding(tuple(tags[end - length:end]),
+                                                       log_prob[end - 1])
     return results
-
-
-def _first_dead(score: np.ndarray, offsets: np.ndarray, n_sentences: int) -> np.ndarray:
-    """First position at which each sentence has no live slot, or -1.
-
-    ``score`` holds one row of slot scores per packed row; a dead row stays
-    dead to the end of its sentence, as -inf plus anything is -inf.
-    """
-    dead = np.full(n_sentences, -1, dtype=np.intp)
-    rows = np.flatnonzero(score.max(axis=1) == -np.inf)
-    if rows.size:
-        t = np.searchsorted(offsets, rows, side="right") - 1
-        sentence, first = np.unique(rows - offsets[t], return_index=True)
-        dead[sentence] = t[first]
-    return dead
 
 
 def _gather(tables, packed: Packed):
     """The scores both kernels start from, for every row of a packed chunk.
 
     Returns ``member`` (the tag in each slot of each row), ``score`` (the
-    slot's log-emission, plus the log-initial at position 0), ``prev`` (the
-    row at ``t - 1`` of each row at ``t >= 1``) and ``cand`` (the
-    ``(from, to)`` log-transitions between the slots of each such row and
-    of its ``prev``).
+    slot's log-emission, plus the log-initial at position 0) and ``cand``
+    (the ``(from, to)`` log-transitions between the slots of each row at
+    ``t >= 1`` and of its ``packed.prev``).
     """
     members, log_initial, log_transition, log_emission = tables
     ids, B = packed.ids, int(packed.live[0])
     member = members[ids]
     score = log_emission[ids]
     score[:B] += log_initial[member[:B]]
-    prev = np.arange(B, ids.size) - np.repeat(packed.live[:-1], packed.live[1:])
-    cand = log_transition[(member[prev] * log_initial.size)[:, :, None] + member[B:, None, :]]
-    return member, score, prev, cand
+    cand = log_transition[member[packed.prev, :, None] * log_initial.size + member[B:, None, :]]
+    return member, score, cand
 
 
 def _decode_packed(tables, packed: Packed):
     """Member-only Viterbi over every sentence of a packed chunk.
 
-    Returns the tag at every row, the best path's log-probability of each
-    sorted sentence, and the first dead position of each (-1 if none).
+    Returns the tag at every row and the slot scores of every row, which
+    are all -inf from a sentence's first dead position on.
     """
-    member, score, prev, cand = _gather(tables, packed)
+    member, score, cand = _gather(tables, packed)
     live, offsets = packed.live, packed.offsets
     (N, K), B, T = score.shape, int(live[0]), live.size
     back = np.empty((N, K), dtype=np.intp)
@@ -142,7 +123,7 @@ def _decode_packed(tables, packed: Packed):
         score[lo:lo + k] += np.maximum.reduce(c, 1)
 
     # backtrack every sentence at once through flat (row * K + slot) cells
-    back[B:] += (prev * K)[:, None]
+    back[B:] += (packed.prev * K)[:, None]
     last = offsets[packed.lengths[:B] - 1] + np.arange(B)
     final = score[last].argmax(axis=1)  # ties -> lowest tag id
     cell = np.empty(N, dtype=np.intp)
@@ -151,14 +132,13 @@ def _decode_packed(tables, packed: Packed):
     for t in range(T - 1, 0, -1):
         lo, k, up = row_at[t], live_at[t], row_at[t - 1]
         np.take(back, cell[lo:lo + k], out=cell[up:up + k])
-    return (member.ravel()[cell], score.ravel()[cell[last]],
-            _first_dead(score, offsets, B))
+    return member.ravel()[cell], score
 
 
 def _decode_one(tables, packed: Packed):
     """``_decode_packed`` for a chunk of one sentence: a plain ``K x K``
     loop, its rows being the sentence's positions."""
-    member, score, _, cand = _gather(tables, packed)
+    member, score, cand = _gather(tables, packed)
     back = np.empty(score.shape, dtype=np.intp)
     for c, prev, here, best in zip(cand, score[:-1, :, None], score[1:], back[1:]):
         c += prev
@@ -166,10 +146,9 @@ def _decode_one(tables, packed: Packed):
         here += np.maximum.reduce(c, 0)
 
     slot = int(score[-1].argmax())  # ties -> lowest tag id
-    log_prob = score[-1, slot]
     slots = [slot]
     for pointers in back[:0:-1].tolist():
         slot = pointers[slot]
         slots.append(slot)
     path = member[np.arange(len(slots)), slots[::-1]]
-    return path, np.array([log_prob]), _first_dead(score, packed.offsets, 1)
+    return path, score

@@ -167,7 +167,7 @@ class SuffixRule:
 class GuesserRules:
     """Ordered fallback rules assigning classes to out-of-lexicon words."""
 
-    def __init__(self, suffix_rules, pattern_rules, default_upper, default_lower, store):
+    def __init__(self, suffix_rules, pattern_rules, default_upper, default_lower):
         # longest suffixes first; equal lengths keep file order
         self.suffix_rules: tuple[SuffixRule, ...] = tuple(
             sorted(suffix_rules, key=lambda r: -len(r.suffix))
@@ -175,7 +175,6 @@ class GuesserRules:
         self.pattern_rules: dict[str, int] = dict(pattern_rules)
         self.default_upper = default_upper
         self.default_lower = default_lower
-        self.store = store
 
 
 def load_guesser_rules(source, ts: TagSet, store: ClassStore) -> GuesserRules:
@@ -210,7 +209,7 @@ def load_guesser_rules(source, ts: TagSet, store: ClassStore) -> GuesserRules:
     missing = {CASE_UPPER, CASE_LOWER} - set(defaults)
     if missing:
         raise ConfigError(f"guesser rules must define DEFAULT {' and DEFAULT '.join(sorted(missing))}")
-    return GuesserRules(suffix_rules, pattern_rules, defaults[CASE_UPPER], defaults[CASE_LOWER], store)
+    return GuesserRules(suffix_rules, pattern_rules, defaults[CASE_UPPER], defaults[CASE_LOWER])
 
 
 def guess_class(rules: GuesserRules, word: str) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
+    ImpossibleSequenceError,
     ModelChecksumError,
     ModelIOError,
     ModelTagsetMismatchError,
@@ -162,35 +163,6 @@ def chunks(sentences: Iterable, n_tags: int):
         yield first, chunk
 
 
-def check_sentences(model: HmmModel, sentences):
-    """Validate sentences of class ids against ``model``.
-
-    Returns ``(flat, lengths, errors)``: the valid sentences concatenated
-    into one ``intp`` array, the length of every sentence (0 for an invalid
-    one), and a DataError for each invalid sentence, keyed by its index in
-    ``sentences``, which is also its ``sentence_index``.  A sentence is
-    invalid when it is empty or not one-dimensional, or holds a class id the
-    model does not have (the first such id is named).
-    """
-    seqs = [np.asarray(s, dtype=np.intp) for s in sentences]
-    lengths = np.array([s.size if s.ndim == 1 else 0 for s in seqs], dtype=np.intp)
-    errors = {i: DataError("sentence must be a non-empty sequence of class ids", i)
-              for i in np.flatnonzero(lengths == 0).tolist()}
-    flat = np.concatenate([s for s in seqs if s.ndim == 1] or [np.empty(0, dtype=np.intp)])
-    # viewed as unsigned, a negative id is larger than any valid one
-    if flat.size and flat.view(np.uintp).max() >= model.n_classes:
-        owner = np.repeat(np.arange(lengths.size), lengths)
-        bad = np.flatnonzero(flat.view(np.uintp) >= model.n_classes)
-        invalid, first = np.unique(owner[bad], return_index=True)
-        starts = np.cumsum(lengths) - lengths
-        for i, cell in zip(invalid.tolist(), bad[first].tolist()):
-            errors[i] = DataError(
-                f"unknown class id {int(flat[cell])} at position {cell - starts[i]}", i)
-        flat = flat[~np.isin(owner, invalid)]
-        lengths[invalid] = 0
-    return flat, lengths, errors
-
-
 class Packed(NamedTuple):
     """A chunk of sentences laid out for the packed kernels.
 
@@ -200,10 +172,10 @@ class Packed(NamedTuple):
     sentences still running there, so the sentences running at ``t`` are a
     prefix of those running at ``t - 1``.  Row ``offsets[t] + r`` belongs to
     the ``r``-th longest sentence, chunk sentence ``order[r]`` of length
-    ``lengths[r]``.  ``ids[row]`` is the class id at a row and ``rows[j]``
-    the row of token ``j`` of the valid sentences concatenated in chunk
-    order.  An invalid sentence has length 0 and no rows; ``errors`` holds
-    its DataError under its chunk index.
+    ``lengths[r]``.  ``ids[row]`` is a row's class id, ``prev[row - live[0]]``
+    the row at ``t - 1`` of a row at ``t >= 1``, and ``rows[j]`` the row of
+    token ``j`` of the valid sentences in chunk order.  An invalid sentence
+    has length 0 and no rows; ``errors`` holds its DataError by chunk index.
     """
 
     order: np.ndarray
@@ -212,12 +184,42 @@ class Packed(NamedTuple):
     offsets: np.ndarray
     rows: np.ndarray
     ids: np.ndarray
+    prev: np.ndarray
     errors: dict
+
+    def impossible(self, dead) -> dict:
+        """``{chunk index: ImpossibleSequenceError}``, in increasing index, of
+        the sentences with a ``dead`` row (one where a kernel found no live
+        tag state), each named by the position of its first dead row."""
+        rows = np.flatnonzero(dead)
+        t = np.searchsorted(self.offsets, rows, side="right") - 1
+        # rows are ascending, so each sentence's first row is its earliest
+        rank, first = np.unique(rows - self.offsets[t], return_index=True)
+        found = sorted(zip(self.order[rank].tolist(), t[first].tolist()))
+        return {i: ImpossibleSequenceError.dying_at(position, i) for i, position in found}
 
 
 def pack(model: HmmModel, sentences) -> Packed:
-    """Validate a chunk of sentences (``check_sentences``) and pack it."""
-    flat, lengths, errors = check_sentences(model, sentences)
+    """Validate a chunk of sentences of class ids and lay it out (``Packed``):
+    a sentence is invalid if it is empty or not one-dimensional, or holds a
+    class id ``model`` does not have, of which the first is named."""
+    seqs = [np.asarray(s, dtype=np.intp) for s in sentences]
+    lengths = np.array([s.size if s.ndim == 1 else 0 for s in seqs], dtype=np.intp)
+    errors = {i: DataError("sentence must be a non-empty sequence of class ids", i)
+              for i in np.flatnonzero(lengths == 0).tolist()}
+    flat = np.concatenate([s for s in seqs if s.ndim == 1] or [np.empty(0, dtype=np.intp)])
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # viewed as unsigned, a negative id is larger than any valid one
+    bad = np.flatnonzero(flat.view(np.uintp) >= model.n_classes)
+    if bad.size:
+        invalid, first = np.unique(owner[bad], return_index=True)
+        for i, cell in zip(invalid.tolist(), bad[first].tolist()):
+            errors[i] = DataError(
+                f"unknown class id {int(flat[cell])} at position {position[cell]}", i)
+        keep = ~np.isin(owner, invalid)
+        flat, owner, position = flat[keep], owner[keep], position[keep]
+        lengths[invalid] = 0
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
     T = int(sorted_lengths[0]) if lengths.size else 0
@@ -226,11 +228,11 @@ def pack(model: HmmModel, sentences) -> Packed:
     np.cumsum(live, out=offsets[1:])
     rank = np.empty(lengths.size, dtype=np.intp)
     rank[order] = np.arange(lengths.size)
-    position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    rows = offsets[position] + np.repeat(rank, lengths)
+    rows = offsets[position] + rank[owner]
     ids = np.empty(flat.size, dtype=np.intp)
     ids[rows] = flat
-    return Packed(order, sorted_lengths, live, offsets, rows, ids, errors)
+    prev = np.arange(offsets[min(T, 1)], flat.size) - np.repeat(live[:-1], live[1:])
+    return Packed(order, sorted_lengths, live, offsets, rows, ids, prev, errors)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -133,9 +133,9 @@ def config_lines(source) -> Iterator[tuple[int, str]]:
 def load_tagset(source) -> TagSet:
     """Load a TagSet from a path or file object.
 
-    Raises ConfigError for duplicate labels, labels containing whitespace,
-    unknown directives, a ``!sentence_delim`` naming an unknown label, or an
-    empty file.
+    Raises ConfigError for duplicate labels, labels containing whitespace or
+    ``+`` (which joins the labels of a class signature), unknown directives,
+    a ``!sentence_delim`` naming an unknown label, or an empty file.
     """
     tags: list[Tag] = []
     seen: dict[str, int] = {}
@@ -150,6 +150,8 @@ def load_tagset(source) -> TagSet:
         label, _, description = line.partition("\t")
         if not label or any(ch.isspace() for ch in label):
             raise ConfigError(f"line {lineno}: bad tag label {label!r} (expected LABEL<TAB>description)")
+        if "+" in label:  # it joins the labels of a class signature
+            raise ConfigError(f"line {lineno}: tag label {label!r} contains '+'")
         if label in seen:
             raise ConfigError(f"line {lineno}: duplicate tag label {label!r} (first defined on line {seen[label]})")
         seen[label] = lineno

@@ -18,9 +18,10 @@ The E-step (``expected_counts``) is packed and chunked, as decoding is.
 The corpus streams in chunks of consecutive sentences holding at most
 ``model.CHUNK_CELLS`` cells (tokens x tags; ``model.chunks``), so a chunk's
 few working arrays stay small whatever the corpus size; a longer sentence
-is a chunk by itself.  Within a chunk the sentences are sorted by length
-and laid out time-major (``model.pack``), and each position runs as one
-matrix product over every sentence still running there.
+is a chunk by itself.  Within a chunk the sentences are validated, sorted
+by length and laid out time-major (``model.pack``), and each position runs
+as one matrix product over every sentence still running there.  A scaling
+factor of 0 marks a dead sentence (``Packed.impossible``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, ImpossibleSequenceError
+from .errors import DataError
 from .model import BiasSet, HmmModel, Packed, apply_biases, chunks, pack, uniform_model
 from .tagset import TagSet
 
@@ -62,8 +63,13 @@ class TrainingConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not self.smoothing_floor >= 0:  # NaN too
-            raise ValueError("smoothing_floor must be >= 0")
+        _check_floor(self.smoothing_floor)
+
+
+def _check_floor(floor: float) -> None:
+    """A smoothing floor is finite and >= 0; raises ValueError otherwise."""
+    if not 0 <= floor < np.inf:  # NaN fails too
+        raise ValueError(f"smoothing_floor must be finite and >= 0, not {floor}")
 
 
 class SufficientStats:
@@ -96,9 +102,9 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
     own per-position scaling.
 
     Adds the chunk's expected counts and log-likelihood into ``into`` and
-    returns, in increasing chunk index, an ImpossibleSequenceError naming
-    the first dead position of each sentence that no tag path can produce;
-    such a sentence adds nothing.
+    returns ``packed.impossible`` of the rows whose scaling factor is 0: an
+    ImpossibleSequenceError naming the first dead position of each sentence
+    that no tag path can produce, which adds nothing.
     """
     n, m, A = model.n_tags, model.n_classes, model.transition
     N, ids, live, offsets = packed.ids.size, packed.ids, packed.live, packed.offsets
@@ -122,11 +128,9 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
                 a *= obs[lo:lo + k]
             s = a.sum(axis=1, keepdims=True, out=scale[lo:lo + k])
             a /= s
-    dead = []  # (sorted row, first dead position)
-    for cell in np.flatnonzero(scale == 0.0).tolist():
-        t = int(np.searchsorted(offsets, cell, side="right")) - 1
-        dead.append((cell - row_at[t], t))
-    for r, _ in dead:  # a dead sentence drops out of every count and of the likelihood
+    dead = packed.impossible(scale == 0.0)
+    # a dead sentence drops out of every count and of the likelihood
+    for r in np.flatnonzero(np.isin(packed.order, list(dead))).tolist():
         cells = offsets[:packed.lengths[r]] + r
         alpha[cells] = 0.0
         scale[cells] = 1.0
@@ -146,14 +150,12 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
     for tag in range(n):
         into.emission_counts[tag] += np.bincount(ids, weights=gamma[:, tag], minlength=m)
     if N > B:  # xi; alpha at t - 1 is gathered into gamma's buffer, now free
-        prev_rows = np.arange(B, N) - np.repeat(live[:-1], live[1:])
         # mode="clip" (the rows are in range) writes straight into ``out``
         # instead of through a temporary as big as the chunk
-        alpha_prev = np.take(alpha, prev_rows, axis=0, out=beta[:N - B], mode="clip")
+        alpha_prev = np.take(alpha, packed.prev, axis=0, out=beta[:N - B], mode="clip")
         into.transition_counts += A * (alpha_prev.T @ obs[B:])
     into.log_likelihood += float(np.log(scale).sum())
-    found = sorted((int(packed.order[r]), t) for r, t in dead)
-    return {i: ImpossibleSequenceError.dying_at(t, i) for i, t in found}
+    return dead
 
 
 def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStats:
@@ -212,7 +214,7 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     the stats and the indices of the impossible sentences skipped.
 
     The first failing sentence in corpus order raises, with its index
-    attached: an invalid sentence (see ``model.check_sentences``), or an
+    attached: an invalid sentence (see ``model.pack``), or an
     impossible one, reported by its first dead position.  With
     ``skip_impossible`` zero-probability sentences are dropped from the
     counts instead.
@@ -275,8 +277,9 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
     normalization so later re-estimation can move off observed zeros; cells
     where the tag is not a class member stay exactly 0.  Tags never observed
     keep the uniform rows.  ``classes`` is checked as ``uniform_model``
-    describes.
+    describes, and the floor as ``TrainingConfig``'s.
     """
+    _check_floor(smoothing_floor)
     start = uniform_model(ts, classes)
     n, m = start.n_tags, start.n_classes
     allowed_emis = start.allowed_emission_mask()

@@ -197,7 +197,7 @@ class TestTrainCommand:
         assert len(rows) == 1
 
     @pytest.mark.parametrize("flag, value", [("--iters", "-1"), ("--smoothing", "-1"),
-                                             ("--smoothing", "nan")])
+                                             ("--smoothing", "nan"), ("--smoothing", "inf")])
     def test_bad_iters_or_smoothing_is_usage_error(self, bench_dir, tmp_path, capsys,
                                                    flag, value):
         p = paths(bench_dir)

@@ -11,6 +11,7 @@ from hmmtagger.lexicon import ClassStore, classify, load_guesser_rules, load_lex
 from hmmtagger.model import (BiasSet, HmmModel, TransitionBias, apply_biases, chunks,
                              uniform_model)
 from hmmtagger.tagset import Tag, TagSet, load_tagset
+from hmmtagger.training import expected_counts, forward_backward
 
 from oracles import brute_viterbi
 
@@ -347,3 +348,50 @@ class TestAgainstDenseDecoder:
         self.check(model, corpus)
         assert [d.tags for d in decode(model, corpus)] == [(0,) * len(s) for s in corpus]
         assert decode(model, corpus[-1:])[0].tags == (0,) * 6
+
+
+def heavily_prohibited(rng):
+    """``tied_model`` with about half of every transition row prohibited by
+    zero-weight biases; each row keeps its most probable cell."""
+    model = tied_model(rng)
+    n, keep = model.n_tags, model.transition.argmax(axis=1)
+    banned = [TransitionBias(s, t, 0.0) for s in range(n) for t in range(n)
+              if t != keep[s] and rng.random() < 0.5]
+    return apply_biases(model, BiasSet(banned, ()))
+
+
+def test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeypatch):
+    # chunks of at most 40 tokens at 8 tags; the 60-token sentence is a
+    # chunk by itself from 6 tags up
+    monkeypatch.setattr(model_module, "CHUNK_CELLS", 8 * 40)
+    rng = np.random.default_rng(1995)
+    n_dead = 0
+    for _ in range(40):
+        model = heavily_prohibited(rng)
+        m = model.n_classes
+        corpus = [rng.integers(m, size=int(rng.integers(1, 13))).tolist()
+                  for _ in range(int(rng.integers(20, 60)))]
+        corpus += [sample_sentence(rng, model, 8), rng.integers(m, size=60).tolist()]
+        rng.shuffle(corpus)
+        dead = {first + i: got.position
+                for first, chunk in chunks(corpus, model.n_tags)
+                for i, got in enumerate(decode(model, chunk))
+                if isinstance(got, ImpossibleSequenceError)}
+
+        _, skipped = expected_counts(model, corpus, skip_impossible=True)
+        assert skipped == sorted(dead)
+        if dead:
+            with pytest.raises(ImpossibleSequenceError) as err:
+                expected_counts(model, corpus)
+            assert (err.value.sentence_index, err.value.position) == min(dead.items())
+        for i, sentence in enumerate(corpus):  # one-sentence kernels
+            alone = decode(model, [sentence])[0]
+            if i not in dead:
+                assert isinstance(alone, Decoding)
+                continue
+            assert isinstance(alone, ImpossibleSequenceError) and alone.position == dead[i]
+            with pytest.raises(ImpossibleSequenceError) as err:
+                forward_backward(model, sentence)
+            assert err.value.position == dead[i]
+        n_dead += len(dead)
+    assert n_dead >= 500

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmmtagger.errors import (
     ConfigError,
@@ -22,6 +23,7 @@ from hmmtagger.model import (
     default_biases,
     load_biases,
     load_model,
+    pack,
     save_model,
     uniform_model,
 )
@@ -317,3 +319,29 @@ def test_model_copies_its_tables():
     assert model.initial[0] == 0.6
     for table in model.log_tables():
         assert not table.flags.writeable
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 4), max_size=8), max_size=12))
+def test_pack_lays_out_exactly_the_valid_sentences(sentences):
+    model = uniform_model(tiny_tagset(2), [(0,), (1,), (0, 1)])  # class ids 0-2
+    packed = pack(model, sentences)
+    valid = [i for i, s in enumerate(sentences) if s and all(0 <= c < 3 for c in s)]
+    assert sorted(packed.errors) == sorted(set(range(len(sentences))) - set(valid))
+    for i, error in packed.errors.items():
+        bad = [(t, c) for t, c in enumerate(sentences[i]) if not 0 <= c < 3]
+        assert error.sentence_index == i
+        assert str(error) == (f"unknown class id {bad[0][1]} at position {bad[0][0]}" if bad
+                              else "sentence must be a non-empty sequence of class ids")
+
+    # every row holds one token of a valid sentence, in chunk order
+    assert packed.ids[packed.rows].tolist() == [c for i in valid for c in sentences[i]]
+    assert sorted(packed.rows.tolist()) == list(range(packed.ids.size))
+    # prev maps each row at t >= 1 to the row of the same sentence at t - 1
+    first_rows = int(packed.live[0]) if packed.live.size else 0
+    assert packed.prev.size == packed.ids.size - first_rows
+    end = 0
+    for i in valid:
+        rows = packed.rows[end:end + len(sentences[i])].tolist()
+        end += len(rows)
+        assert [packed.prev[r - first_rows] for r in rows[1:]] == rows[:-1]

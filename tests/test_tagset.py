@@ -73,6 +73,13 @@ def test_label_with_whitespace_rejected():
         load("X Y\tdescription\n")
 
 
+def test_label_with_plus_rejected():
+    # '+' joins the labels of a class signature: X+Y and Z would make the
+    # signature X+Y+Z, which reads back as three tags
+    with pytest.raises(ConfigError, match=r"^line 2: tag label 'X\+Y' contains '\+'$"):
+        load("Z\ttest\nX+Y\ttest\n")
+
+
 def test_unknown_directive_rejected():
     with pytest.raises(ConfigError, match="directive"):
         load("!frobnicate X\nX\ttest\n")

@@ -342,6 +342,11 @@ class TestCountedInit:
         with pytest.raises(DataError):
             counted_init([], tiny_tagset(1), [(0,)])
 
+    @pytest.mark.parametrize("floor", [float("nan"), -1.0, float("inf")])
+    def test_bad_smoothing_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="smoothing_floor must be finite and >= 0"):
+            counted_init([[(0, 0), (1, 1)]], tiny_tagset(2), [(0,), (1,)], smoothing_floor=floor)
+
     @pytest.mark.parametrize("member", [-1, 5])
     def test_member_outside_tag_set_rejected(self, member):
         # as uniform_model does; -1 used to wrap onto the last tag in the mask
@@ -461,3 +466,5 @@ def test_training_config_validation():
         TrainingConfig(smoothing_floor=-0.1)
     with pytest.raises(ValueError, match="smoothing_floor"):
         TrainingConfig(smoothing_floor=float("nan"))
+    with pytest.raises(ValueError, match="smoothing_floor"):
+        TrainingConfig(smoothing_floor=float("inf"))
