@@ -164,7 +164,7 @@ def cmd_tag(args) -> int:
     skipped = []
 
     def tagged():  # decoded sentences, as write_tagged rows, in input order
-        for first, chunk in chunks(reader(inputs["input"]), model.n_tags):
+        for first, chunk in chunks(reader(inputs["input"]), model.max_class_size):
             classes = [_classes(lex, rules, words) for words in chunk]
             for i, result in enumerate(decode(model, classes)):
                 if isinstance(result, DataError):

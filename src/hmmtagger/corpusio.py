@@ -92,7 +92,8 @@ def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int] | tuple[str
     An optional third column, as ``hmmtagger tag --with-class`` writes it,
     is the token's class signature (see ``class_signatures``); it must
     include the line's tag, and the line then reads as a
-    ``(word, tag id, signature)`` triple.
+    ``(word, tag id, signature)`` triple.  All lines of a sentence have the
+    same number of columns.
     """
     sentence: list[tuple] = []
     for lineno, line in decoded_lines(source):
@@ -115,6 +116,10 @@ def read_tagged(source, ts: TagSet) -> Iterator[list[tuple[str, int] | tuple[str
             if None in members or tag not in members:
                 raise FormatError(f"line {lineno}: third column {signature!r} is not a class "
                                   f"signature containing {label!r}")
+        if not sentence:
+            columns = sep  # the sentence's first line sets its column count
+        elif sep != columns:
+            raise FormatError(f"line {lineno}: sentence mixes two- and three-column lines")
         sentence.append((surface, tag, signature) if sep else (surface, tag))
     if sentence:
         yield sentence

@@ -8,21 +8,20 @@ reproducible across runs and platforms.
 Decoding runs over class members only.  A tag outside a token's class has
 emission probability 0, so its score there is -inf and it can never be on
 a path; the recursion therefore keeps one score per member slot of the
-padded member table (``HmmModel.member_tables``), at most ``K`` per token,
-instead of one per tag.  Every score is the same sum of the same log terms
-as over all tags, so scores are bit-identical to a dense decoder's.  The
-tie-breaking survives because a class's members are stored in ascending
-tag order and the padding, whose scores are -inf, sorts last: ``argmax``
-over slots returns the first maximal slot, which holds the lowest maximal
-tag id.
+padded member table (``HmmModel.member_tables``), at most
+``K = HmmModel.max_class_size`` per token, instead of one per tag.  Every
+score is the same sum of the same log terms as over all tags, so scores
+are bit-identical to a dense decoder's.  The tie-breaking survives because
+a class's members are stored in ascending tag order and the padding, whose
+scores are -inf, sorts last: ``argmax`` over slots returns the first
+maximal slot, which holds the lowest maximal tag id.
 
 ``decode`` takes a chunk of sentences (see ``model.chunks``), packed by
-``model.pack``.  A chunk of several sentences runs one gathered
-``(k, K, K)`` add and argmax per position for the ``k`` sentences still
-running there, then backtracks all of them at once; a chunk of one
-sentence runs a plain ``K x K`` loop, as the batched gathers cost more than
-they save there.  A row of only -inf scores marks a dead sentence
-(``Packed.impossible``, as in the E-step).
+``model.pack``.  Each position gathers the ``(k, K, K)`` log-transitions
+between the slots of the ``k`` sentences still running there and their
+slots one position earlier, and runs one add and argmax over them; then
+every sentence backtracks at once.  A row of only -inf scores marks a dead
+sentence (``Packed.impossible``, as in the E-step).
 """
 
 from __future__ import annotations
@@ -63,14 +62,13 @@ def decode(model: HmmModel, sentences: Sequence[Sequence[int]]) -> list:
     Returns one entry per sentence, in order: its Decoding, or the
     DataError that ``viterbi`` would raise for it (``sentence_index`` is
     its index in the chunk).  Memory grows with the chunk; a corpus is
-    streamed through ``model.chunks``.
+    streamed through ``model.chunks(corpus, model.max_class_size)``.
     """
     packed = pack(model, sentences)
     results: list = [packed.errors.get(i) for i in range(len(sentences))]
     if not packed.ids.size:
         return results
-    kernel = _decode_one if len(sentences) == 1 else _decode_packed
-    path, score = kernel(model.member_tables(), packed)
+    path, score = _decode_packed(model.member_tables(), packed)
     best = score.max(axis=1)  # at a sentence's last row, its log-probability
     impossible = packed.impossible(best == -np.inf)
 
@@ -87,37 +85,24 @@ def decode(model: HmmModel, sentences: Sequence[Sequence[int]]) -> list:
     return results
 
 
-def _gather(tables, packed: Packed):
-    """The scores both kernels start from, for every row of a packed chunk.
-
-    Returns ``member`` (the tag in each slot of each row), ``score`` (the
-    slot's log-emission, plus the log-initial at position 0) and ``cand``
-    (the ``(from, to)`` log-transitions between the slots of each row at
-    ``t >= 1`` and of its ``packed.prev``).
-    """
-    members, log_initial, log_transition, log_emission = tables
-    ids, B = packed.ids, int(packed.live[0])
-    member = members[ids]
-    score = log_emission[ids]
-    score[:B] += log_initial[member[:B]]
-    cand = log_transition[member[packed.prev, :, None] * log_initial.size + member[B:, None, :]]
-    return member, score, cand
-
-
 def _decode_packed(tables, packed: Packed):
     """Member-only Viterbi over every sentence of a packed chunk.
 
     Returns the tag at every row and the slot scores of every row, which
     are all -inf from a sentence's first dead position on.
     """
-    member, score, cand = _gather(tables, packed)
-    live, offsets = packed.live, packed.offsets
+    members, log_initial, log_transition, log_emission = tables
+    ids, live, offsets = packed.ids, packed.live, packed.offsets
+    member = members[ids]
+    score = log_emission[ids]
     (N, K), B, T = score.shape, int(live[0]), live.size
+    score[:B] += log_initial[member[:B]]
+    width = log_initial.size  # the transitions' row stride
     back = np.empty((N, K), dtype=np.intp)
     row_at, live_at = offsets.tolist(), live.tolist()
     for t in range(1, T):
         lo, k, up = row_at[t], live_at[t], row_at[t - 1]
-        c = cand[lo - B:lo - B + k]
+        c = log_transition[member[up:up + k, :, None] * width + member[lo:lo + k, None, :]]
         c += score[up:up + k, :, None]
         c.argmax(1, back[lo:lo + k])  # ties -> lowest slot, lowest tag id
         score[lo:lo + k] += np.maximum.reduce(c, 1)
@@ -133,22 +118,3 @@ def _decode_packed(tables, packed: Packed):
         lo, k, up = row_at[t], live_at[t], row_at[t - 1]
         np.take(back, cell[lo:lo + k], out=cell[up:up + k])
     return member.ravel()[cell], score
-
-
-def _decode_one(tables, packed: Packed):
-    """``_decode_packed`` for a chunk of one sentence: a plain ``K x K``
-    loop, its rows being the sentence's positions."""
-    member, score, cand = _gather(tables, packed)
-    back = np.empty(score.shape, dtype=np.intp)
-    for c, prev, here, best in zip(cand, score[:-1, :, None], score[1:], back[1:]):
-        c += prev
-        c.argmax(0, best)  # ties -> lowest slot, lowest tag id
-        here += np.maximum.reduce(c, 0)
-
-    slot = int(score[-1].argmax())  # ties -> lowest tag id
-    slots = [slot]
-    for pointers in back[:0:-1].tolist():
-        slot = pointers[slot]
-        slots.append(slot)
-    path = member[np.arange(len(slots)), slots[::-1]]
-    return path, score

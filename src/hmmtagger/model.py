@@ -71,6 +71,12 @@ class HmmModel:
     def n_classes(self) -> int:
         return len(self.class_members)
 
+    @property
+    def max_class_size(self) -> int:
+        """``K``, the size of the largest class: the width of the member
+        tables, and of each per-token array of the decoder."""
+        return max(map(len, self.class_members), default=1)
+
     def allowed_emission_mask(self) -> np.ndarray:
         """Boolean (n_tags, n_classes): True where the tag belongs to the class."""
         return membership_mask(self.n_tags, self.class_members)
@@ -96,8 +102,7 @@ class HmmModel:
         if self._member_cache is None:
             n, m = self.n_tags, self.n_classes
             log_initial, log_transition, log_emission = self.log_tables()
-            members = np.full((m, max(map(len, self.class_members), default=1)), n,
-                              dtype=np.intp)
+            members = np.full((m, self.max_class_size), n, dtype=np.intp)
             for c, tags in enumerate(self.class_members):
                 members[c, :len(tags)] = tags
             initial = np.full(n + 1, -np.inf)
@@ -139,21 +144,24 @@ class HmmModel:
             raise ValueError("a tag emits a class it does not belong to")
 
 
-# Cells (tokens x tags) of one packed chunk.  Each of a chunk's few working
-# arrays holds about this many numbers (256 KiB), which bounds the memory of
-# training and decoding whatever the corpus size; a sentence with more cells
-# is a chunk by itself.
+# Cells (tokens x width) of one packed chunk.  Each per-token array of a
+# chunk holds at most this many numbers (256 KiB of float64): ``n_tags`` per
+# token in the E-step, ``max_class_size`` in the decoder.  That bounds the
+# memory of training and decoding whatever the corpus size; a sentence with
+# more cells is a chunk by itself.
 CHUNK_CELLS = 2 ** 15
 
 
-def chunks(sentences: Iterable, n_tags: int):
+def chunks(sentences: Iterable, width: int):
     """Yield ``(index of the first sentence, sentences)`` for runs of
-    consecutive sentences of at most ``CHUNK_CELLS`` tokens x tags; a longer
-    sentence is a chunk by itself."""
+    consecutive sentences of at most ``CHUNK_CELLS`` tokens x ``width``,
+    where ``width`` is the number of cells the calling kernel keeps per
+    token in each of its per-token arrays; a longer sentence is a chunk by
+    itself."""
     chunk: list = []
     first = cells = 0
     for index, sentence in enumerate(sentences):
-        size = len(sentence) * n_tags
+        size = len(sentence) * width
         if chunk and cells + size > CHUNK_CELLS:
             yield first, chunk
             chunk, first, cells = [], index, 0
@@ -201,13 +209,19 @@ class Packed(NamedTuple):
 
 def pack(model: HmmModel, sentences) -> Packed:
     """Validate a chunk of sentences of class ids and lay it out (``Packed``):
-    a sentence is invalid if it is empty or not one-dimensional, or holds a
-    class id ``model`` does not have, of which the first is named."""
-    seqs = [np.asarray(s, dtype=np.intp) for s in sentences]
-    lengths = np.array([s.size if s.ndim == 1 else 0 for s in seqs], dtype=np.intp)
-    errors = {i: DataError("sentence must be a non-empty sequence of class ids", i)
+    a sentence is invalid if it is empty or not one-dimensional, if its ids
+    are not of an integer dtype, or if it holds a class id ``model`` does
+    not have, of which the first is named."""
+    seqs = [np.asarray(s) for s in sentences]
+    lengths = np.array([s.size if s.ndim == 1 and s.dtype.kind in "iu" else 0 for s in seqs],
+                       dtype=np.intp)
+    # an empty list reads as float64, so emptiness is checked before the dtype
+    errors = {i: DataError("sentence must be a non-empty sequence of class ids"
+                           if seqs[i].ndim != 1 or not seqs[i].size
+                           else f"class ids must be integers, not {seqs[i].dtype}", i)
               for i in np.flatnonzero(lengths == 0).tolist()}
-    flat = np.concatenate([s for s in seqs if s.ndim == 1] or [np.empty(0, dtype=np.intp)])
+    flat = np.concatenate([s for s, n in zip(seqs, lengths.tolist()) if n]
+                          or [np.empty(0, dtype=np.intp)], dtype=np.intp)
     owner = np.repeat(np.arange(lengths.size), lengths)
     position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # viewed as unsigned, a negative id is larger than any valid one

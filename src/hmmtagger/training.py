@@ -61,6 +61,9 @@ class TrainingConfig:
     smoothing_floor: float = 1e-6
 
     def __post_init__(self):
+        # bool is an int too, but True is no count of iterations
+        if not isinstance(self.iterations, (int, np.integer)) or isinstance(self.iterations, bool):
+            raise ValueError(f"iterations must be an int, not {self.iterations!r}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         _check_floor(self.smoothing_floor)

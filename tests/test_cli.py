@@ -544,6 +544,23 @@ class TestTagFailuresInsideAChunk:
             "warning: 2 sentence(s) skipped",
         ]
 
+    def test_output_does_not_depend_on_the_chunk_size(self, setup, capsys, monkeypatch):
+        # at the default size all six sentences are one chunk; at one cell
+        # every sentence is a chunk by itself
+        from hmmtagger import model as model_module
+
+        *_, args, out = setup
+        default = model_module.CHUNK_CELLS
+        for flags, code in ((["--with-class"], 2), (["--skip-impossible"], 0),
+                            (["--with-class", "--skip-impossible"], 0)):
+            runs = []
+            for cells in (default, 1):
+                monkeypatch.setattr(model_module, "CHUNK_CELLS", cells)
+                runs.append((main(args[:1] + flags + args[1:]), out.read_bytes(),
+                             *capsys.readouterr()))
+                assert runs[-1][0] == code
+            assert runs[0] == runs[1], flags
+
     def test_without_the_flag_the_first_failing_sentence_is_named(self, setup, capsys):
         model, ts, lex, args, out = setup
         assert main(args) == 2

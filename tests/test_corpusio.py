@@ -147,6 +147,12 @@ class TestTagged:
         with pytest.raises(FormatError, match="line 2"):
             list(read_tagged(io.StringIO(f"Der\tART\nHund\tART\t{signature}\n"), ts))
 
+    @pytest.mark.parametrize("text", ["x\tART\ny\tNN\tART+NN\n",
+                                      "x\tART\tART+NN\ny\tNN\n"], ids=["2-3", "3-2"])
+    def test_sentence_mixing_column_counts_names_line(self, ts, text):
+        with pytest.raises(FormatError, match="line 2: sentence mixes two- and three-column"):
+            list(read_tagged(io.StringIO(text), ts))
+
     def test_empty_token_rejected(self, ts):
         with pytest.raises(FormatError):
             list(read_tagged(io.StringIO("\tART\n"), ts))

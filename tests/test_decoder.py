@@ -131,6 +131,21 @@ class TestViterbi:
         with pytest.raises(DataError, match="class id"):
             viterbi(m, [0, 3])
 
+    @pytest.mark.parametrize("sentence", [[0.7, 1.2], ["1", "2"], [True, False]],
+                             ids=["float", "str", "bool"])
+    def test_non_integer_class_ids_rejected_by_decoder_and_e_step(self, sentence):
+        m = uniform_model(tiny_tagset(2), [(0,), (1,), (0, 1)])
+        results = decode(m, [[0, 1], sentence, []])
+        assert isinstance(results[0], Decoding)
+        assert type(results[1]) is DataError and results[1].sentence_index == 1
+        assert str(results[1]).startswith("class ids must be integers, not ")
+        assert str(results[2]) == "sentence must be a non-empty sequence of class ids"
+        with pytest.raises(DataError, match="class ids must be integers"):
+            viterbi(m, sentence)
+        with pytest.raises(DataError, match="sentence 1: class ids must be integers") as err:
+            expected_counts(m, [[0, 1], sentence])
+        assert err.value.sentence_index == 1
+
     def test_long_sentence_no_underflow(self):
         from oracles import random_instance
 
@@ -336,7 +351,8 @@ class TestAgainstDenseDecoder:
             corpus += [sample_sentence(rng, model, 400), [0, m], []]  # [0, m]: unknown id
             rng.shuffle(corpus)
             seen += self.check(model, corpus)
-        # both kernels decoded, and sentences died, many times
+        # solo chunks and chunks of many sentences decoded, and sentences
+        # died, many times
         assert seen["Decoding", True] >= 30 and seen["Decoding", False] >= 1000
         assert seen["ImpossibleSequenceError", False] >= 100
 
@@ -384,7 +400,7 @@ def test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeyp
             with pytest.raises(ImpossibleSequenceError) as err:
                 expected_counts(model, corpus)
             assert (err.value.sentence_index, err.value.position) == min(dead.items())
-        for i, sentence in enumerate(corpus):  # one-sentence kernels
+        for i, sentence in enumerate(corpus):  # one-sentence chunks
             alone = decode(model, [sentence])[0]
             if i not in dead:
                 assert isinstance(alone, Decoding)

@@ -462,6 +462,10 @@ class TestTrainRegime:
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(iterations=-1)
+    with pytest.raises(ValueError, match="iterations"):
+        TrainingConfig(iterations=2.5)
+    with pytest.raises(ValueError, match="iterations"):
+        TrainingConfig(iterations=True)
     with pytest.raises(ValueError):
         TrainingConfig(smoothing_floor=-0.1)
     with pytest.raises(ValueError, match="smoothing_floor"):
