@@ -74,7 +74,7 @@ class HmmModel:
     @property
     def max_class_size(self) -> int:
         """``K``, the size of the largest class: the width of the member
-        tables, and of each per-token array of the decoder."""
+        tables, and of each per-token array of the member-only kernels."""
         return max(map(len, self.class_members), default=1)
 
     def allowed_emission_mask(self) -> np.ndarray:
@@ -87,33 +87,38 @@ class HmmModel:
             self._log_cache = tuple(_safe_log(a) for a in (self.initial, self.transition, self.emission))
         return self._log_cache
 
-    def member_tables(self):
-        """Cached read-only tables for decoding over class members only.
+    def member_tables(self, log: bool = True):
+        """Cached read-only tables for working over class members only.
 
-        Returns ``(members, log_initial, log_transition, log_emission)``.
-        ``members[c]`` lists the tags of class ``c`` in ascending order,
-        padded to the size ``K`` of the largest class with a dummy tag
-        ``n_tags``, and ``log_emission[c, k]`` is the log-emission of class
-        ``c`` by ``members[c, k]``.  ``log_initial`` and ``log_transition``
-        are the log tables extended by the dummy tag, the transitions
-        flattened as ``source * (n_tags + 1) + target``.  Every score of the
-        dummy tag is -inf, so a padding slot is dead wherever it appears.
+        Returns ``(members, initial, transition, emission)``.  ``members[c]``
+        lists the tags of class ``c`` in ascending order, padded to the size
+        ``K`` of the largest class with a dummy tag ``n_tags``, and
+        ``emission[c, k]`` is the emission of class ``c`` by
+        ``members[c, k]``.  ``initial`` and ``transition`` are the model's
+        tables extended by the dummy tag, the transitions flattened as
+        ``source * (n_tags + 1) + target``.  Every probability of the dummy
+        tag is 0, so a padding slot is dead wherever it appears.  The tables
+        are natural logs (zeros become -inf) for decoding, or with
+        ``log=False`` probabilities for forward-backward.
         """
         if self._member_cache is None:
             n, m = self.n_tags, self.n_classes
-            log_initial, log_transition, log_emission = self.log_tables()
             members = np.full((m, self.max_class_size), n, dtype=np.intp)
             for c, tags in enumerate(self.class_members):
                 members[c, :len(tags)] = tags
-            initial = np.full(n + 1, -np.inf)
-            initial[:n] = log_initial
-            transition = np.full((n + 1, n + 1), -np.inf)
-            transition[:n, :n] = log_transition
-            emission = np.full((n + 1, m), -np.inf)
-            emission[:n] = log_emission
-            self._member_cache = tuple(_read_only(a) for a in (
-                members, initial, transition.ravel(), emission[members, np.arange(m)[:, None]]))
-        return self._member_cache
+            initial = np.zeros(n + 1)
+            initial[:n] = self.initial
+            transition = np.zeros((n + 1, n + 1))
+            transition[:n, :n] = self.transition
+            emission = np.zeros((n + 1, m))
+            emission[:n] = self.emission
+            tables = (initial, transition.ravel(), emission[members, np.arange(m)[:, None]])
+            members = _read_only(members)
+            self._member_cache = {
+                False: (members, *map(_read_only, tables)),
+                True: (members, *map(_safe_log, tables)),
+            }
+        return self._member_cache[log]
 
     def validate(self) -> None:
         """Check shapes, class members, finite probabilities, stochasticity,
@@ -145,10 +150,12 @@ class HmmModel:
 
 
 # Cells (tokens x width) of one packed chunk.  Each per-token array of a
-# chunk holds at most this many numbers (256 KiB of float64): ``n_tags`` per
-# token in the E-step, ``max_class_size`` in the decoder.  That bounds the
-# memory of training and decoding whatever the corpus size; a sentence with
-# more cells is a chunk by itself.
+# chunk holds at most this many numbers (256 KiB of float64):
+# ``max_class_size`` (K) per token in the decoder and in the member-only
+# E-step, ``n_tags`` in the dense E-step (``training.e_step_kernel``); the
+# member E-step's transitions, K * K per token, hold K times as many.  That
+# bounds the memory of training and decoding whatever the corpus size; a
+# sentence with more cells is a chunk by itself.
 CHUNK_CELLS = 2 ** 15
 
 
@@ -224,13 +231,15 @@ def pack(model: HmmModel, sentences) -> Packed:
                           or [np.empty(0, dtype=np.intp)], dtype=np.intp)
     owner = np.repeat(np.arange(lengths.size), lengths)
     position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    # viewed as unsigned, a negative id is larger than any valid one
+    # viewed as unsigned, a negative id is larger than any valid one, and an
+    # unsigned id of 2**63 or more, which the cast made negative, is itself
     bad = np.flatnonzero(flat.view(np.uintp) >= model.n_classes)
     if bad.size:
         invalid, first = np.unique(owner[bad], return_index=True)
         for i, cell in zip(invalid.tolist(), bad[first].tolist()):
-            errors[i] = DataError(
-                f"unknown class id {int(flat[cell])} at position {position[cell]}", i)
+            # named as given, not as cast
+            errors[i] = DataError(f"unknown class id {int(seqs[i][position[cell]])} "
+                                  f"at position {position[cell]}", i)
         keep = ~np.isin(owner, invalid)
         flat, owner, position = flat[keep], owner[keep], position[keep]
         lengths[invalid] = 0

@@ -16,12 +16,19 @@ log-likelihood is recovered from the scaling factors.
 
 The E-step (``expected_counts``) is packed and chunked, as decoding is.
 The corpus streams in chunks of consecutive sentences holding at most
-``model.CHUNK_CELLS`` cells (tokens x tags; ``model.chunks``), so a chunk's
-few working arrays stay small whatever the corpus size; a longer sentence
-is a chunk by itself.  Within a chunk the sentences are validated, sorted
-by length and laid out time-major (``model.pack``), and each position runs
-as one matrix product over every sentence still running there.  A scaling
-factor of 0 marks a dead sentence (``Packed.impossible``).
+``model.CHUNK_CELLS`` cells (tokens x the kernel's width; ``model.chunks``),
+so a chunk's few working arrays stay small whatever the corpus size; a
+longer sentence is a chunk by itself.  Within a chunk the sentences are
+validated, sorted by length and laid out time-major (``model.pack``), and
+each position runs as one matrix product over every sentence still running
+there.  A scaling factor of 0 marks a dead sentence (``Packed.impossible``).
+
+Two kernels share that bookkeeping, the scaling and the likelihood, and
+differ only in each position's product and in how they scatter the counts.
+The member kernel keeps one cell per member slot of each token's class
+(``K = HmmModel.max_class_size`` cells per token), as the decoder does; the
+dense kernel keeps one per tag.  ``e_step_kernel`` states the rule that
+picks one: the member kernel wherever ``K * K < n_tags``.
 """
 
 from __future__ import annotations
@@ -81,8 +88,9 @@ class SufficientStats:
 
     Stats from distinct sentences add, so a corpus can be reduced in any
     grouping.  ``expected_counts`` adds one packed chunk of at most
-    ``model.CHUNK_CELLS`` tokens x tags at a time into a single instance, so
-    its memory is bounded by the chunk, not the corpus.
+    ``model.CHUNK_CELLS`` tokens x the kernel's width (``e_step_kernel``) at
+    a time into a single instance, so its memory is bounded by the chunk,
+    not the corpus.
     """
 
     def __init__(self, initial_counts, transition_counts, emission_counts, log_likelihood=0.0):
@@ -96,38 +104,129 @@ class SufficientStats:
         return cls(np.zeros(n_tags), np.zeros((n_tags, n_tags)), np.zeros((n_tags, n_classes)))
 
 
+def e_step_kernel(model: HmmModel):
+    """The forward-backward kernel for ``model`` and the width it chunks
+    by, the cells it keeps per token in each per-token array.
+
+    With ``K = model.max_class_size``, the member kernel (``_Members``,
+    width ``K``) runs where ``K * K < n_tags``, and the dense one
+    (``_Dense``, width ``n_tags``) elsewhere: the member kernel gathers
+    ``K * K`` transitions per token, which pays only where that is fewer
+    than the tags.  The E-step alone, on the seed-1 training corpora of
+    ``perfbench`` (medians of 7 alternating runs, 2-core virtual machine):
+    at 44 tags and ``K`` = 4, in sentences of 200-3,000 tokens, the member
+    kernel ran at 241k tok/s against 96k for the dense one; at 10 tags and
+    ``K`` = 4, in sentences of 2-7 tokens, it ran at 1.16M against 1.61M
+    tok/s, and its traced peak memory was 3.6 MB against 0.9 MB.
+    """
+    K = model.max_class_size
+    return (_Members, K) if K * K < model.n_tags else (_Dense, model.n_tags)
+
+
+class _Dense:
+    """Forward-backward over every tag: ``n_tags`` cells per token, and one
+    ``(k, n) @ (n, n)`` product per position for its ``k`` live rows."""
+
+    def __init__(self, model: HmmModel, packed: Packed):
+        self.model, self.ids, self.B = model, packed.ids, int(packed.live[0])
+        self.initial = model.initial
+        self.obs = model.emission.T.take(packed.ids, axis=0)  # emission of each tag
+
+    def forward(self, alpha_prev, first, out):
+        np.matmul(alpha_prev, self.model.transition, out=out)
+
+    def backward(self, weights, first, out):
+        np.matmul(weights, self.model.transition.T, out=out)
+
+    def add_state_counts(self, gamma, into):
+        into.initial_counts += gamma[:self.B].sum(axis=0)
+        for tag in range(self.model.n_tags):
+            into.emission_counts[tag] += np.bincount(self.ids, weights=gamma[:, tag],
+                                                     minlength=self.model.n_classes)
+
+    def add_transition_counts(self, alpha_prev, weights, into):
+        into.transition_counts += self.model.transition * (alpha_prev.T @ weights)
+
+
+class _Members:
+    """Forward-backward over class members only: ``K`` cells per token, one
+    per slot of the padded member table (``HmmModel.member_tables``), whose
+    padding slots have probability 0.  The transitions between the slots of
+    each row at ``t >= 1`` and of its row at ``t - 1`` are gathered once per
+    chunk, so a position is one ``(k, 1, K) @ (k, K, K)`` product for its
+    ``k`` live rows."""
+
+    def __init__(self, model: HmmModel, packed: Packed):
+        members, initial, transition, emission = model.member_tables(log=False)
+        self.n, self.m, self.ids = model.n_tags, model.n_classes, packed.ids
+        self.B = B = int(packed.live[0])
+        self.member = member = members[packed.ids]  # the tag of each slot
+        self.initial = initial[member[:B]]
+        self.obs = emission[packed.ids]
+        # the flat (source, target) cell of each pair of slots of a row at
+        # t - 1 and its row at t; a row's pairs are at its index less B
+        self.cells = member[packed.prev, :, None] * (self.n + 1) + member[B:, None, :]
+        self.transition = transition[self.cells]
+
+    def forward(self, alpha_prev, first, out):
+        np.matmul(alpha_prev[:, None], self.transition[first:first + out.shape[0]],
+                  out=out[:, None])
+
+    def backward(self, weights, first, out):
+        np.matmul(self.transition[first:first + out.shape[0]], weights[:, :, None],
+                  out=out[:, :, None])
+
+    # Each table's counts are one bincount over flat cells led by each slot's
+    # tag; the dummy tag's cells, which gather only zeros, are cut off.
+    def add_state_counts(self, gamma, into):
+        n, m, B = self.n, self.m, self.B
+        into.initial_counts += np.bincount(self.member[:B].ravel(), weights=gamma[:B].ravel(),
+                                           minlength=n + 1)[:n]
+        cells = self.member * m + self.ids[:, None]
+        into.emission_counts += np.bincount(cells.ravel(), weights=gamma.ravel(),
+                                            minlength=(n + 1) * m)[:n * m].reshape(n, m)
+
+    def add_transition_counts(self, alpha_prev, weights, into):
+        n, xi = self.n, self.transition  # xi takes the transitions' place
+        xi *= alpha_prev[:, :, None]
+        xi *= weights[:, None, :]
+        into.transition_counts += np.bincount(self.cells.ravel(), weights=xi.ravel(),
+                                              minlength=(n + 1) ** 2
+                                              ).reshape(n + 1, n + 1)[:n, :n]
+
+
 def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats) -> dict:
     """Scaled forward-backward over a packed chunk of sentences at once.
 
     Sentences still running at position ``t`` are a contiguous prefix of
-    the rows at ``t`` (see ``Packed``), so each position costs one
-    ``(B, n) @ (n, n)`` product for all of them.  Every sentence keeps its
-    own per-position scaling.
+    the rows at ``t`` (see ``Packed``), so each position costs one product
+    of the kernel (``e_step_kernel``) for all of them.  Every sentence
+    keeps its own per-position scaling.
 
     Adds the chunk's expected counts and log-likelihood into ``into`` and
     returns ``packed.impossible`` of the rows whose scaling factor is 0: an
     ImpossibleSequenceError naming the first dead position of each sentence
     that no tag path can produce, which adds nothing.
     """
-    n, m, A = model.n_tags, model.n_classes, model.transition
-    N, ids, live, offsets = packed.ids.size, packed.ids, packed.live, packed.offsets
+    N, live, offsets = packed.ids.size, packed.live, packed.offsets
     if not N:
         return {}
     B, T = int(live[0]), live.size
-    obs = model.emission.T.take(ids, axis=0)  # (N, n): emission prob of each tag at each cell
+    kernel = e_step_kernel(model)[0](model, packed)
+    obs = kernel.obs  # (N, width): the emission probability of each cell
     live_at, row_at = live.tolist(), offsets.tolist()
 
     alpha = np.empty_like(obs)
     scale = np.empty((N, 1))
-    np.multiply(obs[:B], model.initial, out=alpha[:B])
+    np.multiply(obs[:B], kernel.initial, out=alpha[:B])
     # A sentence that dies at t gets scale 0 there and NaN after, in its own
-    # rows only: each row of a matmul depends on that row alone.
+    # rows only: each row of a product depends on that row alone.
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(T):
             lo, k = row_at[t], live_at[t]
             a = alpha[lo:lo + k]
             if t:
-                np.matmul(alpha[row_at[t - 1]:row_at[t - 1] + k], A, out=a)
+                kernel.forward(alpha[row_at[t - 1]:row_at[t - 1] + k], lo - B, a)
                 a *= obs[lo:lo + k]
             s = a.sum(axis=1, keepdims=True, out=scale[lo:lo + k])
             a /= s
@@ -146,17 +245,15 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
         lo, k, prev = row_at[t], live_at[t], row_at[t - 1]
         w = obs[lo:lo + k]
         w *= beta[lo:lo + k]
-        np.matmul(w, A.T, out=beta[prev:prev + k])
+        kernel.backward(w, lo - B, beta[prev:prev + k])
 
     gamma = np.multiply(alpha, beta, out=beta)
-    into.initial_counts += gamma[:B].sum(axis=0)
-    for tag in range(n):
-        into.emission_counts[tag] += np.bincount(ids, weights=gamma[:, tag], minlength=m)
+    kernel.add_state_counts(gamma, into)
     if N > B:  # xi; alpha at t - 1 is gathered into gamma's buffer, now free
         # mode="clip" (the rows are in range) writes straight into ``out``
         # instead of through a temporary as big as the chunk
-        alpha_prev = np.take(alpha, packed.prev, axis=0, out=beta[:N - B], mode="clip")
-        into.transition_counts += A * (alpha_prev.T @ obs[B:])
+        alpha_prev = np.take(alpha, packed.prev, axis=0, out=gamma[:N - B], mode="clip")
+        kernel.add_transition_counts(alpha_prev, obs[B:], into)
     into.log_likelihood += float(np.log(scale).sum())
     return dead
 
@@ -212,9 +309,11 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     """The E-step: expected counts and log-likelihood of a corpus under ``model``.
 
     Streams ``corpus`` in chunks of consecutive sentences of at most
-    ``CHUNK_CELLS`` tokens x tags and runs forward-backward over a whole
-    chunk at once, so the corpus itself is never held in memory.  Returns
-    the stats and the indices of the impossible sentences skipped.
+    ``CHUNK_CELLS`` tokens x width, where the width is ``K``, the size of the
+    largest class, for the member kernel and ``n_tags`` for the dense one
+    (``e_step_kernel``), and runs forward-backward over a whole chunk at
+    once, so the corpus itself is never held in memory.  Returns the stats
+    and the indices of the impossible sentences skipped.
 
     The first failing sentence in corpus order raises, with its index
     attached: an invalid sentence (see ``model.pack``), or an
@@ -225,7 +324,7 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
     n_sentences = 0
     skipped: list[int] = []
-    for first, chunk in chunks(corpus, model.n_tags):
+    for first, chunk in chunks(corpus, e_step_kernel(model)[1]):
         packed = pack(model, chunk)
         dead = _add_expected_counts(model, packed, stats)
         failures = packed.errors if skip_impossible else {**packed.errors, **dead}

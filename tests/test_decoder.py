@@ -11,7 +11,7 @@ from hmmtagger.lexicon import ClassStore, classify, load_guesser_rules, load_lex
 from hmmtagger.model import (BiasSet, HmmModel, TransitionBias, apply_biases, chunks,
                              uniform_model)
 from hmmtagger.tagset import Tag, TagSet, load_tagset
-from hmmtagger.training import expected_counts, forward_backward
+from hmmtagger.training import e_step_kernel, expected_counts, forward_backward
 
 from oracles import brute_viterbi
 
@@ -178,10 +178,18 @@ class TestDecodeChunk:
         members, log_initial, log_transition, log_emission = m.member_tables()
         assert members.tolist() == [[0, 3, 3], [1, 2, 3], [0, 1, 2]]
         assert log_initial[3] == log_transition[-1] == log_emission[0, 1] == -np.inf
-        for table in m.member_tables():
+        # the probability twin is padded with 0; the log tables are its logs
+        members_too, *probabilities = m.member_tables(log=False)
+        assert members_too is members
+        assert probabilities[0][3] == probabilities[1][-1] == probabilities[2][0, 1] == 0.0
+        with np.errstate(divide="ignore"):
+            assert all(np.log(p).tobytes() == log_p.tobytes()
+                       for p, log_p in zip(probabilities, m.member_tables()[1:]))
+        for table in m.member_tables() + m.member_tables(log=False):
             with pytest.raises(ValueError):
                 table[0] = 0
-        assert all(a is b for a, b in zip(m.member_tables(), m.member_tables()))
+        for log in (True, False):
+            assert all(a is b for a, b in zip(m.member_tables(log), m.member_tables(log)))
 
 
 def classes_of(lex, rules, words):
@@ -269,14 +277,15 @@ def dense_viterbi(model, sentence):
     return Decoding(tuple(int(t) for t in path), float(score[path[T - 1]]))
 
 
-def tied_model(rng):
-    """A random model whose probabilities are small multiples of a common
-    unit (many exact ties), with zero initial and transition probabilities
-    and prohibited transitions."""
-    n = int(rng.integers(1, 9))
+def tied_model(rng, tags=(1, 8), max_class_size=4):
+    """A random model over ``tags[0]`` to ``tags[1]`` tags, with classes of
+    up to ``max_class_size`` tags, whose probabilities are small multiples
+    of a common unit (many exact ties), with zero initial and transition
+    probabilities and prohibited transitions."""
+    n = int(rng.integers(tags[0], tags[1] + 1))
     classes = [(t,) for t in range(n)]
     for _ in range(int(rng.integers(0, 3 * n))):
-        size = int(rng.integers(2, min(4, n) + 1)) if n > 1 else 1
+        size = int(rng.integers(2, min(max_class_size, n) + 1)) if n > 1 else 1
         members = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         if members not in classes:
             classes.append(members)
@@ -366,10 +375,10 @@ class TestAgainstDenseDecoder:
         assert decode(model, corpus[-1:])[0].tags == (0,) * 6
 
 
-def heavily_prohibited(rng):
+def heavily_prohibited(rng, **shape):
     """``tied_model`` with about half of every transition row prohibited by
     zero-weight biases; each row keeps its most probable cell."""
-    model = tied_model(rng)
+    model = tied_model(rng, **shape)
     n, keep = model.n_tags, model.transition.argmax(axis=1)
     banned = [TransitionBias(s, t, 0.0) for s in range(n) for t in range(n)
               if t != keep[s] and rng.random() < 0.5]
@@ -377,37 +386,41 @@ def heavily_prohibited(rng):
 
 
 def test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeypatch):
-    # chunks of at most 40 tokens at 8 tags; the 60-token sentence is a
-    # chunk by itself from 6 tags up
+    # chunks of at most 40 tokens at 8 tags, or 160 at K = 2; the 60-token
+    # sentence is a chunk by itself from 6 tags up in the dense E-step
     monkeypatch.setattr(model_module, "CHUNK_CELLS", 8 * 40)
     rng = np.random.default_rng(1995)
-    n_dead = 0
-    for _ in range(40):
-        model = heavily_prohibited(rng)
-        m = model.n_classes
-        corpus = [rng.integers(m, size=int(rng.integers(1, 13))).tolist()
-                  for _ in range(int(rng.integers(20, 60)))]
-        corpus += [sample_sentence(rng, model, 8), rng.integers(m, size=60).tolist()]
-        rng.shuffle(corpus)
-        dead = {first + i: got.position
-                for first, chunk in chunks(corpus, model.n_tags)
-                for i, got in enumerate(decode(model, chunk))
-                if isinstance(got, ImpossibleSequenceError)}
+    # tied_model's own shapes, then 5-8 tags in classes of at most two, where
+    # K * K < n_tags puts forward-backward over class members
+    for shape in ({}, {"tags": (5, 8), "max_class_size": 2}):
+        n_dead = 0
+        for _ in range(40):
+            model = heavily_prohibited(rng, **shape)
+            assert not shape or e_step_kernel(model)[1] == model.max_class_size
+            m = model.n_classes
+            corpus = [rng.integers(m, size=int(rng.integers(1, 13))).tolist()
+                      for _ in range(int(rng.integers(20, 60)))]
+            corpus += [sample_sentence(rng, model, 8), rng.integers(m, size=60).tolist()]
+            rng.shuffle(corpus)
+            dead = {first + i: got.position
+                    for first, chunk in chunks(corpus, model.n_tags)
+                    for i, got in enumerate(decode(model, chunk))
+                    if isinstance(got, ImpossibleSequenceError)}
 
-        _, skipped = expected_counts(model, corpus, skip_impossible=True)
-        assert skipped == sorted(dead)
-        if dead:
-            with pytest.raises(ImpossibleSequenceError) as err:
-                expected_counts(model, corpus)
-            assert (err.value.sentence_index, err.value.position) == min(dead.items())
-        for i, sentence in enumerate(corpus):  # one-sentence chunks
-            alone = decode(model, [sentence])[0]
-            if i not in dead:
-                assert isinstance(alone, Decoding)
-                continue
-            assert isinstance(alone, ImpossibleSequenceError) and alone.position == dead[i]
-            with pytest.raises(ImpossibleSequenceError) as err:
-                forward_backward(model, sentence)
-            assert err.value.position == dead[i]
-        n_dead += len(dead)
-    assert n_dead >= 500
+            _, skipped = expected_counts(model, corpus, skip_impossible=True)
+            assert skipped == sorted(dead)
+            if dead:
+                with pytest.raises(ImpossibleSequenceError) as err:
+                    expected_counts(model, corpus)
+                assert (err.value.sentence_index, err.value.position) == min(dead.items())
+            for i, sentence in enumerate(corpus):  # one-sentence chunks
+                alone = decode(model, [sentence])[0]
+                if i not in dead:
+                    assert isinstance(alone, Decoding)
+                    continue
+                assert isinstance(alone, ImpossibleSequenceError) and alone.position == dead[i]
+                with pytest.raises(ImpossibleSequenceError) as err:
+                    forward_backward(model, sentence)
+                assert err.value.position == dead[i]
+            n_dead += len(dead)
+        assert n_dead >= 500

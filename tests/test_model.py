@@ -345,3 +345,20 @@ def test_pack_lays_out_exactly_the_valid_sentences(sentences):
         rows = packed.rows[end:end + len(sentences[i])].tolist()
         end += len(rows)
         assert [packed.prev[r - first_rows] for r in rows[1:]] == rows[:-1]
+
+
+@pytest.mark.parametrize("sentence, message", [
+    # a uint64 id of 2**63 or more turns negative when cast to intp
+    (np.array([1, 2**63 + 5], dtype=np.uint64),
+     "unknown class id 9223372036854775813 at position 1"),
+    (np.array([0, 2**64 - 1], dtype=np.uint64),
+     "unknown class id 18446744073709551615 at position 1"),
+    (np.array([0, 3], dtype=np.uint8), "unknown class id 3 at position 1"),
+    # numpy reads a list that mixes int64 and uint64 values as float64
+    ([1, 2**63 + 5], "class ids must be integers, not float64"),
+], ids=["uint64-2**63+5", "uint64-max", "uint8", "list"])
+def test_pack_names_a_class_id_as_given(sentence, message):
+    model = uniform_model(tiny_tagset(2), [(0,), (1,), (0, 1)])  # class ids 0-2
+    packed = pack(model, [[0, 2], sentence])
+    assert list(packed.errors) == [1] and str(packed.errors[1]) == message
+    assert packed.ids.tolist() == [0, 2]

@@ -3,7 +3,8 @@ import pytest
 
 from hmmtagger.errors import ConfigError, DataError, ImpossibleSequenceError
 from hmmtagger import model as model_module
-from hmmtagger.model import BiasSet, TransitionBias, apply_biases, chunks, uniform_model
+from hmmtagger.model import (BiasSet, TransitionBias, apply_biases, chunks, membership_mask,
+                             uniform_model)
 from hmmtagger.tagset import Tag, TagSet
 from hmmtagger.training import (
     REGIME_BIAS,
@@ -12,6 +13,7 @@ from hmmtagger.training import (
     TrainingConfig,
     baum_welch,
     counted_init,
+    e_step_kernel,
     expected_counts,
     forward_backward,
     regime_iterations,
@@ -224,13 +226,36 @@ def prohibited_model(n_tags, seed):
     return apply_biases(model, BiasSet([TransitionBias(0, 1, 0.0)], ()))
 
 
+def narrow_model(rng):
+    """Random model over 5-8 tags whose classes hold at most two tags, so
+    K * K < n_tags and forward-backward runs over class members.  Some
+    initial and transition probabilities are 0, and about a fifth of the
+    transitions are prohibited; each row keeps its most probable cell."""
+    from hmmtagger.model import HmmModel
+
+    n = int(rng.integers(5, 9))
+    pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(n)}
+    classes = [(t,) for t in range(n)] + sorted(pairs)
+    initial = rng.random(n) * (rng.random(n) < 0.7) + 0.01 * np.eye(n)[0]
+    transition = (rng.random((n, n)) + 0.05) * (rng.random((n, n)) < 0.8) + 0.01 * np.eye(n)
+    emission = membership_mask(n, classes) * (rng.random((n, len(classes))) + 0.05)
+    model = HmmModel(tiny_tagset(n).labels, classes, initial / initial.sum(),
+                     transition / transition.sum(axis=1, keepdims=True),
+                     emission / emission.sum(axis=1, keepdims=True))
+    keep = transition.argmax(axis=1)
+    banned = [TransitionBias(a, b, 0.0) for a in range(n) for b in range(n)
+              if b != keep[a] and rng.random() < 0.2]
+    return apply_biases(model, BiasSet(banned, ()))
+
+
 class TestPackedEStep:
     @pytest.mark.parametrize("n_tags, max_len", [(2, 12), (4, 6)])
     def test_mixed_corpus_matches_oracle(self, monkeypatch, n_tags, max_len):
         # a chunk holds max_len tokens, so the corpus spans several chunks and
         # the one longer sentence is a chunk by itself
-        monkeypatch.setattr(model_module, "CHUNK_CELLS", n_tags * max_len)
         model = prohibited_model(n_tags, seed=n_tags)
+        width = e_step_kernel(model)[1]
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", width * max_len)
         rng = np.random.default_rng(7)
         lengths = [*range(1, max_len + 1)] * 3 + [max_len + 2]
         rng.shuffle(lengths)
@@ -243,7 +268,7 @@ class TestPackedEStep:
                     break
             corpus.append(seq)
             oracles.append(oracle)
-        sizes = [len(c) for _, c in chunks(corpus, n_tags)]
+        sizes = [len(c) for _, c in chunks(corpus, width)]
         assert len(sizes) >= 4 and 1 in sizes
 
         stats, skipped = expected_counts(model, corpus)
@@ -253,6 +278,53 @@ class TestPackedEStep:
             np.testing.assert_allclose(got, sum(o[part] for o in oracles), rtol=0, atol=1e-9)
         assert stats.log_likelihood == pytest.approx(sum(o[3] for o in oracles), abs=1e-9)
         assert stats.transition_counts[model.transition_zero_mask].tolist() == [0.0]
+
+    def test_member_kernel_matches_oracle(self, monkeypatch):
+        # a chunk holds at most 3 tokens at K = 2, so a 4-token sentence is a
+        # chunk by itself and shorter ones share chunks
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", 2 * 3)
+        rng = np.random.default_rng(12)
+        n_live = n_dead = 0
+        for _ in range(8):
+            model = narrow_model(rng)
+            assert e_step_kernel(model)[1] == model.max_class_size == 2
+            corpus = [rng.integers(model.n_classes, size=int(rng.integers(1, 5))).tolist()
+                      for _ in range(16)]
+            oracles = [brute_posterior_stats(model, seq) for seq in corpus]
+            stats, skipped = expected_counts(model, corpus, skip_impossible=True)
+            assert skipped == [i for i, oracle in enumerate(oracles) if oracle is None]
+            live = [oracle for oracle in oracles if oracle is not None]
+            for part, got in enumerate((stats.initial_counts, stats.transition_counts,
+                                        stats.emission_counts)):
+                np.testing.assert_allclose(got, sum(o[part] for o in live), rtol=0, atol=1e-9)
+            assert stats.log_likelihood == pytest.approx(sum(o[3] for o in live), abs=1e-9)
+            # exactly 0: prohibited and zero-probability transitions, and
+            # emissions of a class by a tag outside it
+            assert model.transition_zero_mask.any()
+            assert not stats.transition_counts[model.transition == 0.0].any()
+            assert not stats.emission_counts[~model.allowed_emission_mask()].any()
+            n_live, n_dead = n_live + len(live), n_dead + len(skipped)
+        assert n_live >= 40 and n_dead >= 20
+
+    def test_output_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        # 44 tags in classes of up to 4, as in ELWIS: the member kernel.  Each
+        # tag's likeliest successor is prohibited, so some sentences die.
+        from hmmtagger.synth import make_benchmark
+
+        bench = make_benchmark(seed=3, n_tags=44, n_classes=300, train_tokens=4_000,
+                               tagged_tokens=0, heldout_tokens=0)
+        start = bench.generator
+        model = apply_biases(start, BiasSet([TransitionBias(a, int(b), 0.0) for a, b in
+                                             enumerate(start.transition.argmax(axis=1))], ()))
+        assert e_step_kernel(model)[1] == model.max_class_size == 4
+        corpus = bench.train_untagged
+        want, want_skipped = expected_counts(model, corpus, skip_impossible=True)
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", 1)  # one sentence a chunk
+        got, got_skipped = expected_counts(model, corpus, skip_impossible=True)
+        assert got_skipped == want_skipped and 0 < len(want_skipped) < len(corpus)
+        for part in ("initial_counts", "transition_counts", "emission_counts"):
+            np.testing.assert_allclose(getattr(got, part), getattr(want, part), rtol=1e-12, atol=0)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
 
     # 0-0-1-0 dies at position 2, on the prohibited 0 -> 1.  Each corpus below
     # is one chunk, in which the dead sentence's length puts it in a middle row.
