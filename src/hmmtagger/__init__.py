@@ -46,7 +46,6 @@ from .evaluation import (
 from .lexicon import (
     ClassStore,
     GuesserRules,
-    Lexicon,
     classify,
     guess_class,
     load_guesser_rules,

@@ -160,7 +160,7 @@ def cmd_tag(args) -> int:
     rules = load_guesser_rules(inputs["rules"], ts, store)
 
     reader = read_pretokenized if args.pretokenized else tokenize_raw
-    signatures = class_signatures(ts, store.all_members()) if args.with_class else None
+    signatures = class_signatures(ts, store) if args.with_class else None
     skipped = []
 
     def tagged():  # decoded sentences, as write_tagged rows, in input order

@@ -1,9 +1,10 @@
 """Viterbi decoding of the most probable tag path for a class sequence.
 
 Everything runs in natural-log space with -inf standing for hard zeros, so
-sentences of any length decode without underflow.  Ties are broken toward
-the lowest tag id at every backtrack decision, which makes decoding
-reproducible across runs and platforms.
+sentences of any length decode without underflow.  Ties between bit-equal
+scores break toward the lowest tag id at every backtrack decision, so one
+model file decodes identically on one numpy build; last-bit differences
+(BLAS sums, ``np.log``) can swap tags whose paths tie in exact arithmetic.
 
 Decoding runs over class members only.  A tag outside a token's class has
 emission probability 0, so its score there is -inf and it can never be on

@@ -25,12 +25,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigError
-from .lexicon import ClassStore
 from .tagset import TagSet, config_lines
 
 MAJOR_CLASSES = ("noun", "verb", "adjective", "adverb", "closed")
 INTRA_CLASS = "intra-class"
 CROSS_CLASS = "cross-class"
+
+Inventory = Sequence[tuple[int, ...]]  # class id -> its sorted member tag ids
 
 
 @dataclass(frozen=True)
@@ -130,31 +131,31 @@ class _Tally:
             raise AlignmentError("cannot compute an error rate over zero tokens")
         return self.n_mismatches / self.n_tokens
 
-    def ambiguity_rate(self, store: ClassStore) -> float:
+    def ambiguity_rate(self, store: Inventory) -> float:
         if self.n_tokens == 0:
             raise AlignmentError("cannot compute an ambiguity rate over zero tokens")
-        return sum(count * store.size(c) for c, count in self.class_counts.items()) / self.n_tokens
+        return sum(count * len(store[c]) for c, count in self.class_counts.items()) / self.n_tokens
 
-    def ambiguous_classes(self, store: ClassStore) -> dict[int, int]:
-        return {c: count for c, count in self.class_counts.items() if store.size(c) > 1}
+    def ambiguous_classes(self, store: Inventory) -> dict[int, int]:
+        return {c: count for c, count in self.class_counts.items() if len(store[c]) > 1}
 
-    def class_frequencies(self, store: ClassStore, ts: TagSet,
+    def class_frequencies(self, store: Inventory, ts: TagSet,
                           top_k: Optional[int]) -> list[ClassFrequencyEntry]:
         ranked = sorted(self.ambiguous_classes(store).items(), key=lambda kv: (-kv[1], kv[0]))
         return [
             ClassFrequencyEntry(
                 f_ec=count / self.n_tokens,
-                members=tuple(ts.label(t) for t in store.members(c)),
+                members=tuple(ts.label(t) for t in store[c]),
                 count=count,
             )
             for c, count in ranked[:top_k]
         ]
 
-    def error_types(self, store: ClassStore, ts: TagSet,
+    def error_types(self, store: Inventory, ts: TagSet,
                     top_k: Optional[int]) -> list[ErrorTypeEntry]:
         groups: Counter[tuple[int, int, int]] = Counter()
         for (p, c, g), count in self.mismatches.items():
-            groups[(p, store.size(c), g)] += count
+            groups[(p, len(store[c]), g)] += count
         ranked = sorted(groups.items(), key=lambda kv: (-kv[1], kv[0]))
         return [
             ErrorTypeEntry(
@@ -167,11 +168,11 @@ class _Tally:
             for (p, size, g), count in ranked[:top_k]
         ]
 
-    def intra_cross_split(self, store: ClassStore, major_map: MajorClassMap) -> dict:
+    def intra_cross_split(self, store: Inventory, major_map: MajorClassMap) -> dict:
         ambiguous = intra = 0
         for c, count in self.ambiguous_classes(store).items():
             ambiguous += count
-            if ambiguity_kind(store.members(c), major_map) == INTRA_CLASS:
+            if ambiguity_kind(store[c], major_map) == INTRA_CLASS:
                 intra += count
         return {
             "intra": intra / ambiguous if ambiguous else 0.0,
@@ -185,12 +186,12 @@ def error_rate(pred: Sequence[Sequence[int]], gold: Sequence[Sequence[int]]) -> 
     return _Tally(pred, gold).error_rate()
 
 
-def ambiguity_rate(class_seqs: Sequence[Sequence[int]], store: ClassStore) -> float:
+def ambiguity_rate(class_seqs: Sequence[Sequence[int]], store: Inventory) -> float:
     """Total possible tag assignments divided by the token count (>= 1)."""
     return _Tally(classes=class_seqs).ambiguity_rate(store)
 
 
-def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: ClassStore,
+def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: Inventory,
                           ts: TagSet, top_k: Optional[int] = None) -> list[ClassFrequencyEntry]:
     """Most frequent ambiguous classes, relative to all tokens.
 
@@ -200,7 +201,7 @@ def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: ClassStore
     return _Tally(classes=class_seqs).class_frequencies(store, ts, top_k)
 
 
-def error_type_table(pred, gold, class_seqs, store: ClassStore, ts: TagSet,
+def error_type_table(pred, gold, class_seqs, store: Inventory, ts: TagSet,
                      top_k: Optional[int] = None) -> list[ErrorTypeEntry]:
     """Mismatches grouped by (predicted tag, class size, gold tag).
 
@@ -269,7 +270,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def profile_report(pred, gold, class_seqs, store: ClassStore, ts: TagSet,
+def profile_report(pred, gold, class_seqs, store: Inventory, ts: TagSet,
                    major_map: MajorClassMap, top_k: Optional[int] = 20) -> EvalReport:
     """Aggregate the full measurement battery into one report."""
     tally = _Tally(pred, gold, class_seqs)

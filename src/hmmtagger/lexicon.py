@@ -29,14 +29,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ConfigError
 from .tagset import TagSet, config_lines
 
 
 class ClassStore:
-    """Interner assigning dense ids to member-tag tuples."""
+    """Interner assigning dense ids to member-tag tuples; as a sequence, a
+    class inventory like ``HmmModel.class_members``: ``store[c]`` is the
+    sorted member tuple of class ``c``."""
 
     def __init__(self):
         self._id_by_members: dict[tuple[int, ...], int] = {}
@@ -44,6 +46,12 @@ class ClassStore:
 
     def __len__(self) -> int:
         return len(self._members)
+
+    def __getitem__(self, class_id: int) -> tuple[int, ...]:
+        return self._members[class_id]
+
+    def __iter__(self):
+        return iter(self._members)
 
     def intern(self, members: Iterable[int]) -> int:
         key = tuple(sorted(set(members)))
@@ -59,15 +67,6 @@ class ClassStore:
         self._id_by_members[key] = class_id
         return class_id
 
-    def members(self, class_id: int) -> tuple[int, ...]:
-        return self._members[class_id]
-
-    def size(self, class_id: int) -> int:
-        return len(self._members[class_id])
-
-    def all_members(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._members)
-
     @classmethod
     def from_members(cls, members_list: Iterable[Iterable[int]]) -> "ClassStore":
         """Rebuild a store with ids 0.. following ``members_list`` order."""
@@ -77,20 +76,6 @@ class ClassStore:
             if got != i:
                 raise ValueError(f"member list {i} duplicates list {got}")
         return store
-
-
-class Lexicon:
-    """Case-sensitive word form -> class id map over a shared ClassStore."""
-
-    def __init__(self, entries: dict[str, int], store: ClassStore):
-        self.entries = entries
-        self.store = store
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
 
 
 def _parse_tag_labels(labels: list[str], ts: TagSet, lineno: int) -> list[int]:
@@ -103,13 +88,11 @@ def _parse_tag_labels(labels: list[str], ts: TagSet, lineno: int) -> list[int]:
     return ids
 
 
-def load_lexicon(source, ts: TagSet, store: Optional[ClassStore] = None) -> Lexicon:
-    """Load a lexicon from a path or file object.
-
-    Pass an existing ``store`` to share class ids with guesser rules or a
-    previously loaded model.
+def load_lexicon(source, ts: TagSet, store: ClassStore) -> dict[str, int]:
+    """Load a lexicon from a path or file object as a case-sensitive word
+    form -> class id map, interning each class into ``store``, which guesser
+    rules or a previously loaded model may share.
     """
-    store = store if store is not None else ClassStore()
     members_by_word: dict[str, set[int]] = {}
     for lineno, line in config_lines(source):
         word, sep, rest = line.partition("\t")
@@ -120,8 +103,7 @@ def load_lexicon(source, ts: TagSet, store: Optional[ClassStore] = None) -> Lexi
             raise ConfigError(f"line {lineno}: no tags given for {word!r}")
         ids = _parse_tag_labels(labels, ts, lineno)
         members_by_word.setdefault(word, set()).update(ids)
-    entries = {word: store.intern(members) for word, members in members_by_word.items()}
-    return Lexicon(entries, store)
+    return {word: store.intern(members) for word, members in members_by_word.items()}
 
 
 CASE_UPPER = "U"
@@ -233,12 +215,12 @@ def guess_class(rules: GuesserRules, word: str) -> int:
     return rules.default_upper if first_upper else rules.default_lower
 
 
-def classify(lex: Lexicon, rules: GuesserRules, word: str) -> int:
+def classify(lex: dict[str, int], rules: GuesserRules, word: str) -> int:
     """Lexicon lookup with guesser fallback; the guesser is never consulted
     for known words."""
     if not word:
         raise ValueError("cannot classify an empty word")
-    class_id = lex.entries.get(word)
+    class_id = lex.get(word)
     if class_id is not None:
         return class_id
     return guess_class(rules, word)

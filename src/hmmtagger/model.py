@@ -30,7 +30,6 @@ from .errors import (
     ModelTagsetMismatchError,
     ModelVersionError,
 )
-from .lexicon import ClassStore
 from .tagset import TagSet, config_lines, open_input
 
 ROW_SUM_TOL = 1e-9
@@ -272,13 +271,20 @@ def _safe_log(a: np.ndarray) -> np.ndarray:
 def membership_mask(n_tags: int, class_members) -> np.ndarray:
     """Boolean (n_tags, n_classes): True where the tag belongs to the class.
 
-    Raises ConfigError for a member that is not a tag id below ``n_tags``.
+    Raises ConfigError for a member that is not a tag id below ``n_tags``,
+    and for a class that is empty, repeats a tag, or equals an earlier class.
     """
     mask = np.zeros((n_tags, len(class_members)), dtype=bool)
+    first: dict[frozenset, int] = {}
     for c, members in enumerate(class_members):
         for t in members:
             if not 0 <= t < n_tags:
                 raise ConfigError(f"class {c} references tag id {t} outside the tag set")
+        key = frozenset(members)
+        if not key or len(key) != len(members):
+            raise ConfigError(f"class {c} is empty or repeats a tag: {tuple(members)}")
+        if first.setdefault(key, c) != c:
+            raise ConfigError(f"class {c} equals class {first[key]}")
         mask[list(members), c] = True
     return mask
 
@@ -287,15 +293,12 @@ def uniform_model(ts: TagSet, classes) -> HmmModel:
     """Bias-free starting point: uniform initial and transitions, and per tag
     a uniform emission over the classes that contain it.
 
-    ``classes`` is the class inventory, a ClassStore or a sequence of
-    member-id tuples.  Raises ConfigError for an empty inventory, a member
-    outside the tag set, and a tag contained in no class, which could never
-    emit anything.
+    ``classes`` is the class inventory, a sequence of member-id tuples such
+    as a ClassStore or ``HmmModel.class_members``.  Raises ConfigError for
+    an empty inventory, a class ``membership_mask`` rejects, and a tag
+    contained in no class, which could never emit anything.
     """
-    if isinstance(classes, ClassStore):
-        members = classes.all_members()
-    else:
-        members = tuple(tuple(sorted(m)) for m in classes)
+    members = tuple(tuple(sorted(m)) for m in classes)
     if not members:
         raise ConfigError("class inventory is empty")
     mask = membership_mask(len(ts), members)

@@ -7,7 +7,7 @@ import pytest
 
 from hmmtagger.cli import main
 from hmmtagger.corpusio import class_signatures, read_tagged, write_tagged
-from hmmtagger.lexicon import load_lexicon
+from hmmtagger.lexicon import ClassStore, load_lexicon
 from hmmtagger.model import load_model
 from hmmtagger.synth import make_benchmark
 from hmmtagger.tagset import load_tagset
@@ -48,14 +48,15 @@ class TestSynthCommand:
         with open(p["txt"], encoding="utf-8") as txt, open(p["gold"], encoding="utf-8") as gold:
             assert txt.read() == re.sub(r"\t.*", "", gold.read())
         ts = load_tagset(p["tags"])
-        lex = load_lexicon(p["lex"], ts)
+        store = ClassStore()
+        lex = load_lexicon(p["lex"], ts, store)
         sentences = list(read_tagged(p["gold"], ts))
         assert sentences
         for sentence in sentences:
             for pair in sentence:
                 assert type(pair) is tuple and [type(x) for x in pair] == [str, int]
                 word, tag = pair
-                assert tag in lex.store.members(lex.entries[word])
+                assert tag in store[lex[word]]
 
     def test_generator_model_loads(self, bench_dir):
         p = paths(bench_dir)
@@ -79,12 +80,13 @@ class TestSynthCommand:
                                heldout_tokens=0, ambiguity=1.8, max_class_size=3)
         p = paths(prefix)
         ts = load_tagset(p["tags"])
-        lex = load_lexicon(p["lex"], ts)
+        store = ClassStore()
+        lex = load_lexicon(p["lex"], ts, store)
         sentences = list(read_tagged(p["gold"], ts))
         assert sentences == bench.tagged_text
-        assert [[(tag, lex.entries[word]) for word, tag in s] for s in sentences] \
+        assert [[(tag, lex[word]) for word, tag in s] for s in sentences] \
             == bench.train_tagged
-        assert lex.store.all_members() == bench.class_members
+        assert tuple(store) == bench.class_members
         assert max(map(len, bench.class_members)) == 3
 
     def test_max_class_size_below_two_is_usage_error(self, tmp_path, capsys):
@@ -126,10 +128,11 @@ class TestTrainCommand:
     def test_tagged_corpus_may_carry_the_class_column(self, bench_dir, tmp_path):
         p = paths(bench_dir)
         ts = load_tagset(p["tags"])
-        lex = load_lexicon(p["lex"], ts)
-        signatures = class_signatures(ts, lex.store.all_members())
+        store = ClassStore()
+        lex = load_lexicon(p["lex"], ts, store)
+        signatures = class_signatures(ts, store)
         with_class = str(tmp_path / "gold3")
-        write_tagged(with_class, [[(w, t, signatures[lex.entries[w]]) for w, t in s]
+        write_tagged(with_class, [[(w, t, signatures[lex[w]]) for w, t in s]
                                   for s in read_tagged(p["gold"], ts)], ts)
         models = []
         for i, tagged in enumerate((p["gold"], with_class)):
@@ -427,7 +430,6 @@ class TestExitCodes:
         # a model with a hard prohibition; input forces the masked transition
         import io
 
-        from hmmtagger.lexicon import ClassStore, load_lexicon
         from hmmtagger.model import BiasSet, TransitionBias, apply_biases, save_model, uniform_model
         from hmmtagger.tagset import load_tagset as lt
 
@@ -454,6 +456,37 @@ class TestExitCodes:
         assert main(args) == 2
         assert "sentence 0" in capsys.readouterr().err
         assert main(args[:1] + ["--skip-impossible"] + args[1:]) == 0
+
+    def test_duplicate_class_in_model_file_is_exit_2(self, tmp_path, capsys):
+        # a model file whose class 2 repeats class 0, its digest recomputed
+        import hashlib
+        import io
+        import struct
+
+        from hmmtagger.model import HmmModel, save_model
+
+        files = {"tags": "A\ta\nB\tb\n", "lex": "x\tA\ny\tB\n",
+                 "rules": "DEFAULT U A\nDEFAULT L A\n", "txt": "x\ny\n\n"}
+        for ext, text in files.items():
+            (tmp_path / f"t.{ext}").write_text(text, encoding="utf-8")
+        arg = {ext: str(tmp_path / f"t.{ext}") for ext in files}
+        ts = load_tagset(arg["tags"])
+        buf = io.BytesIO()
+        save_model(HmmModel(ts.labels, [(0,), (1,), (0, 1)], [0.5, 0.5], [[0.5, 0.5]] * 2,
+                            [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]), buf)
+        blob = buf.getvalue()[:-hashlib.sha256().digest_size]
+        start = blob.index(b"\n") + 1 + 4
+        (header_len,) = struct.unpack(">I", blob[start - 4:start])
+        header = blob[start:start + header_len].replace(b"[[0], [1], [0, 1]]", b"[[0], [1], [0]]")
+        blob = blob[:start - 4] + struct.pack(">I", len(header)) + header \
+            + blob[start + header_len:]
+        (tmp_path / "t.model").write_bytes(blob + hashlib.sha256(blob).digest())
+        code = main(["tag", "--model", str(tmp_path / "t.model"), "--tagset", arg["tags"],
+                     "--lexicon", arg["lex"], "--rules", arg["rules"], "--pretokenized",
+                     arg["txt"], str(tmp_path / "out.tagged")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model file holds an invalid model: class 2 equals class 0"]
 
     def test_bad_byte_in_lexicon_is_exit_2(self, bench_dir, trained, tmp_path, capsys):
         p = paths(bench_dir)
@@ -491,7 +524,6 @@ class TestTagFailuresInsideAChunk:
 
     @pytest.fixture()
     def setup(self, tmp_path):
-        from hmmtagger.lexicon import ClassStore
         from hmmtagger.model import (BiasSet, HmmModel, TransitionBias, apply_biases,
                                      save_model)
 
@@ -506,7 +538,7 @@ class TestTagFailuresInsideAChunk:
         store = ClassStore()
         load_lexicon(arg["lex"], ts, store)
         rng = np.random.default_rng(3)
-        classes = store.all_members()
+        classes = tuple(store)
         emission = np.zeros((3, len(classes)))
         for c, members in enumerate(classes):
             emission[list(members), c] = rng.random(len(members)) + 0.1
@@ -529,7 +561,7 @@ class TestTagFailuresInsideAChunk:
         text = ""
         for i in indices:
             words = self.SENTENCES[i].split()
-            path, _ = brute_viterbi(model, [lex.entries[w] for w in words])
+            path, _ = brute_viterbi(model, [lex[w] for w in words])
             text += "".join(f"{w}\t{ts.label(t)}\n" for w, t in zip(words, path)) + "\n"
         return text
 

@@ -218,18 +218,18 @@ class TestTagText:
         classes = classes_of(lex, rules, ["Katze", "schläft", "."])
         decoding = viterbi(model, classes)
         assert [ts.label(t) for t in decoding.tags] == ["NN", "VFIN", "$."]
-        assert all(store.size(c) == 1 for c in classes)
+        assert all(len(store[c]) == 1 for c in classes)
 
     def test_unknown_capitalized_word_gets_upper_default(self, pipeline):
         model, store, lex, rules, ts = pipeline
         classes = classes_of(lex, rules, ["Xylophon", "schläft", "."])
-        assert store.members(classes[0]) == (ts.tag_id("NN"), ts.tag_id("NE"))
+        assert store[classes[0]] == (ts.tag_id("NN"), ts.tag_id("NE"))
 
     def test_returns_classes_used(self, pipeline):
         model, store, lex, rules, ts = pipeline
         classes = classes_of(lex, rules, ["die", "Katze"])
-        assert store.size(classes[0]) == 3
-        assert store.size(classes[1]) == 1
+        assert len(store[classes[0]]) == 3
+        assert len(store[classes[1]]) == 1
 
     def test_empty_token_list_rejected(self, pipeline):
         model, _, lex, rules, ts = pipeline

@@ -22,6 +22,7 @@ from hmmtagger.evaluation import (
     profile_report,
 )
 from hmmtagger.lexicon import ClassStore
+from hmmtagger.model import uniform_model
 from hmmtagger.tagset import load_tagset
 
 from corpus_fixtures import (
@@ -117,7 +118,7 @@ class TestClassFrequencyTable:
         c_early = store.intern([2, 3])
         # interning order decides: c_late has the smaller id
         table = class_frequency_table([[c_early, c_late]], store, elwis)
-        assert table[0].members == tuple(elwis.label(t) for t in store.members(c_late))
+        assert table[0].members == tuple(elwis.label(t) for t in store[c_late])
 
     def test_top_k_truncates(self, elwis):
         class_seqs, store = class_frequency_corpus(elwis)
@@ -252,7 +253,7 @@ def recount(pred, gold, classes, store, ts, major_map) -> EvalReport:
     class_counts, error_counts = Counter(), Counter()
     for p_sent, g_sent, c_sent in zip(pred, gold, classes):
         for p, g, c in zip(p_sent, g_sent, c_sent):
-            members = store.members(int(c))
+            members = store[int(c)]
             n += 1
             slots += len(members)
             if len(members) > 1:
@@ -269,7 +270,7 @@ def recount(pred, gold, classes, store, ts, major_map) -> EvalReport:
         n_mismatches=wrong,
         class_frequencies=[
             ClassFrequencyEntry(f_ec=count / n, count=count,
-                                members=tuple(ts.label(t) for t in store.members(c)))
+                                members=tuple(ts.label(t) for t in store[c]))
             for c, count in sorted(class_counts.items(), key=lambda kv: (-kv[1], kv[0]))],
         error_types=[
             ErrorTypeEntry(rel_freq=count / wrong, predicted_tag=ts.label(p),
@@ -294,7 +295,7 @@ class TestTallyMatchesPerTokenRecount:
         for _ in range(int(rng.integers(1, 60))):
             c_sent = rng.choice(len(store), size=int(rng.integers(1, 25)),
                                 p=weights / weights.sum())
-            g_sent = [int(rng.choice(store.members(int(c)))) for c in c_sent]
+            g_sent = [int(rng.choice(store[int(c)])) for c in c_sent]
             p_sent = tuple(g if rng.random() < 0.7 else int(rng.integers(len(ts)))
                            for g in g_sent)
             pred.append(p_sent)  # the shapes cmd_eval passes: tuples, lists, arrays
@@ -316,6 +317,25 @@ class TestTallyMatchesPerTokenRecount:
         top = profile_report(pred, gold, classes, store, ts, elwis_major, top_k=3)
         assert top.class_frequencies == want.class_frequencies[:3]
         assert top.error_types == want.error_types[:3]
+
+
+def test_class_inventories_are_interchangeable(german_resources, elwis_major):
+    """A ClassStore, its member tuples and a model's class_members."""
+    ts, store, _, _ = german_resources
+    inventories = [store, tuple(store), uniform_model(ts, store).class_members]
+    models = [uniform_model(ts, inventory) for inventory in inventories]
+    for model in models[1:]:
+        assert model.class_members == models[0].class_members
+        for table in ("initial", "transition", "emission", "transition_zero_mask"):
+            assert np.array_equal(getattr(model, table), getattr(models[0], table))
+    rng = np.random.default_rng(5)
+    classes = [rng.integers(len(store), size=int(rng.integers(1, 30))) for _ in range(40)]
+    gold = [[int(rng.choice(store[int(c)])) for c in s] for s in classes]
+    pred = [[g if rng.random() < 0.7 else int(rng.integers(len(ts))) for g in s] for s in gold]
+    reports = [profile_report(pred, gold, classes, inventory, ts, elwis_major, top_k=None)
+               for inventory in inventories]
+    assert reports[0].n_mismatches and reports[0].class_frequencies
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 class TestMisalignmentMessages:

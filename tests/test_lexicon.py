@@ -15,10 +15,10 @@ from hmmtagger.tagset import load_tagset
 
 
 def labels_of(store, ts, class_id):
-    return [ts.label(t) for t in store.members(class_id)]
+    return [ts.label(t) for t in store[class_id]]
 
 
-def load_lex(text, ts, store=None):
+def load_lex(text, ts, store):
     return load_lexicon(io.StringIO(text), ts, store)
 
 
@@ -28,44 +28,46 @@ def load_rules(text, ts, store):
 
 class TestLexiconLoading:
     def test_three_member_entry(self, elwis):
-        lex = load_lex("die\tART PROS PRELS\n", elwis)
-        cid = lex.entries.get("die")
-        assert labels_of(lex.store, elwis, cid) == ["ART", "PROS", "PRELS"]
+        store = ClassStore()
+        lex = load_lex("die\tART PROS PRELS\n", elwis, store)
+        assert labels_of(store, elwis, lex["die"]) == ["ART", "PROS", "PRELS"]
 
     def test_singleton_entry(self, elwis):
-        lex = load_lex("und\tKON\n", elwis)
-        assert lex.store.size(lex.entries.get("und")) == 1
+        store = ClassStore()
+        lex = load_lex("und\tKON\n", elwis, store)
+        assert len(store[lex["und"]]) == 1
 
     def test_duplicate_word_merges_by_union(self, elwis):
-        lex = load_lex("geladen\tVPP ADJD\ngeladen\tVFIN\n", elwis)
-        members = set(labels_of(lex.store, elwis, lex.entries.get("geladen")))
+        store = ClassStore()
+        lex = load_lex("geladen\tVPP ADJD\ngeladen\tVFIN\n", elwis, store)
+        members = set(labels_of(store, elwis, lex["geladen"]))
         assert members == {"VPP", "ADJD", "VFIN"}
 
     def test_unknown_tag_names_line(self, elwis):
         with pytest.raises(ConfigError, match="line 2"):
-            load_lex("und\tKON\nfoo\tNOPE\n", elwis)
+            load_lex("und\tKON\nfoo\tNOPE\n", elwis, ClassStore())
 
     def test_line_without_tags_rejected(self, elwis):
         with pytest.raises(ConfigError, match="no tags"):
-            load_lex("foo\t\n", elwis)
+            load_lex("foo\t\n", elwis, ClassStore())
 
     def test_line_without_tab_rejected(self, elwis):
         with pytest.raises(ConfigError):
-            load_lex("foo KON\n", elwis)
+            load_lex("foo KON\n", elwis, ClassStore())
 
     def test_interning_across_words(self, elwis):
-        lex = load_lex("die\tART PROS PRELS\nder\tPRELS PROS ART\n", elwis)
-        assert lex.entries.get("die") == lex.entries.get("der")
+        lex = load_lex("die\tART PROS PRELS\nder\tPRELS PROS ART\n", elwis, ClassStore())
+        assert lex["die"] == lex["der"]
 
 
 class TestLookup:
     def test_case_sensitive(self, elwis):
-        lex = load_lex("die\tART\n", elwis)
+        lex = load_lex("die\tART\n", elwis, ClassStore())
         assert "die" in lex
         assert "Die" not in lex
 
     def test_empty_word_not_found(self, elwis):
-        lex = load_lex("die\tART\n", elwis)
+        lex = load_lex("die\tART\n", elwis, ClassStore())
         assert "" not in lex
 
 
@@ -80,12 +82,12 @@ class TestClassStore:
 
     def test_from_members_preserves_order(self):
         store = ClassStore.from_members([(0,), (1,), (0, 1)])
-        assert store.members(2) == (0, 1)
+        assert store[2] == (0, 1)
 
     def test_ambiguity_flag(self):
         store = ClassStore()
-        assert store.size(store.intern([3])) == 1
-        assert store.size(store.intern([3, 4])) == 2
+        assert len(store[store.intern([3])]) == 1
+        assert len(store[store.intern([3, 4])]) == 2
 
 
 class TestGuesser:

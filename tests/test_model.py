@@ -35,6 +35,14 @@ def tiny_tagset(n):
     return TagSet([Tag(i, f"T{i:02d}") for i in range(n)])
 
 
+# three-class inventories over 2 tags that break the class-inventory rule
+BAD_INVENTORIES = [
+    pytest.param([(0,), (), (0, 1)], "class 1 is empty", id="empty"),
+    pytest.param([(0,), (1,), (0, 0)], r"class 2 .* repeats a tag: \(0, 0\)", id="repeated-tag"),
+    pytest.param([(0, 1), (1,), (1, 0)], "class 2 equals class 0", id="duplicate"),
+]
+
+
 class TestUniformModel:
     def test_two_tags_three_classes(self):
         ts = tiny_tagset(2)
@@ -58,6 +66,11 @@ class TestUniformModel:
     def test_empty_inventory_rejected(self):
         with pytest.raises(ConfigError):
             uniform_model(tiny_tagset(1), [])
+
+    @pytest.mark.parametrize("classes, message", BAD_INVENTORIES)
+    def test_bad_class_rejected(self, classes, message):
+        with pytest.raises(ConfigError, match=message):
+            uniform_model(tiny_tagset(2), classes)
 
     def test_no_zero_mask(self):
         m = uniform_model(tiny_tagset(2), [(0,), (1,)])
@@ -253,6 +266,11 @@ class TestValidation:
     def test_rejects(self, tables, message):
         with pytest.raises(ValueError, match=message):
             toy_model(**tables).validate()
+
+    @pytest.mark.parametrize("classes, message", BAD_INVENTORIES)
+    def test_rejects_bad_class(self, classes, message):
+        with pytest.raises(ValueError, match=message):
+            toy_model(class_members=classes).validate()
 
     def test_save_rejects_nan_model(self):
         buf = io.BytesIO()

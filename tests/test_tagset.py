@@ -103,7 +103,7 @@ def test_comments_and_blank_lines_ignored():
 # Each config loader with a small valid file over the tags NN and ART.
 CONFIG_LOADERS = {
     "tagset": (lambda src, ts: load_tagset(src), "NN\tnoun\nART\tarticle\n"),
-    "lexicon": (load_lexicon, "Haus\tNN\ndas\tART\n"),
+    "lexicon": (lambda src, ts: load_lexicon(src, ts, ClassStore()), "Haus\tNN\ndas\tART\n"),
     "rules": (lambda src, ts: load_guesser_rules(src, ts, ClassStore()),
               "DEFAULT U NN\nDEFAULT L ART\n"),
     "biases": (load_biases, "TRANS ART NN 2\n"),
