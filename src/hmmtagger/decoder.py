@@ -76,13 +76,14 @@ def decode(model: HmmModel, sentences: Sequence[Sequence[int]]) -> list:
     # from sorted order back to chunk order; an invalid sentence has length 0
     lengths = np.empty_like(packed.lengths)
     lengths[packed.order] = packed.lengths
-    tags, log_prob = path[packed.rows].tolist(), best[packed.rows].tolist()
-    end = 0
-    for i, length in enumerate(lengths.tolist()):
-        end += length
+    ends = np.cumsum(lengths)
+    tags = path[packed.rows].tolist()
+    # the score at each sentence's last row (an invalid one's index is unused)
+    log_prob = best[packed.rows[ends - 1]].tolist()
+    for i, (end, length) in enumerate(zip(ends.tolist(), lengths.tolist())):
         if length:
             results[i] = impossible.get(i) or Decoding(tuple(tags[end - length:end]),
-                                                       log_prob[end - 1])
+                                                       log_prob[i])
     return results
 
 

@@ -43,7 +43,9 @@ class HmmModel:
     The constructor copies the four tables and marks the copies read-only,
     so assigning into a table raises ValueError and nothing the caller
     still holds can change the model.  Operations in this package return
-    new instances, so sharing a model across threads is safe.
+    new instances, so sharing a model across threads is safe.  It raises
+    ValueError for a class inventory that ``membership_mask`` rejects; the
+    tables are checked by ``validate``.
     """
 
     def __init__(self, tag_labels, class_members, initial, transition, emission,
@@ -59,7 +61,10 @@ class HmmModel:
         self.transition = _read_only(np.array(transition, dtype=np.float64))
         self.emission = _read_only(np.array(emission, dtype=np.float64))
         self.transition_zero_mask = _read_only(np.array(transition_zero_mask, dtype=bool))
-        self._log_cache = None
+        try:
+            self._allowed = _read_only(membership_mask(n, self.class_members))
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
         self._member_cache = None
 
     @property
@@ -77,14 +82,9 @@ class HmmModel:
         return max(map(len, self.class_members), default=1)
 
     def allowed_emission_mask(self) -> np.ndarray:
-        """Boolean (n_tags, n_classes): True where the tag belongs to the class."""
-        return membership_mask(self.n_tags, self.class_members)
-
-    def log_tables(self):
-        """Cached natural-log views (zeros become -inf) for decoding."""
-        if self._log_cache is None:
-            self._log_cache = tuple(_safe_log(a) for a in (self.initial, self.transition, self.emission))
-        return self._log_cache
+        """Read-only boolean (n_tags, n_classes): True where the tag belongs
+        to the class."""
+        return self._allowed
 
     def member_tables(self, log: bool = True):
         """Cached read-only tables for working over class members only.
@@ -120,17 +120,14 @@ class HmmModel:
         return self._member_cache[log]
 
     def validate(self) -> None:
-        """Check shapes, class members, finite probabilities, stochasticity,
-        mask, and emission-support invariants; raises ValueError naming the
-        table that breaks one."""
+        """Check shapes, finite probabilities, stochasticity, mask, and
+        emission-support invariants; raises ValueError naming the table
+        that breaks one.  The class members were checked when the model
+        was built."""
         n, m = self.n_tags, self.n_classes
         if self.initial.shape != (n,) or self.transition.shape != (n, n) \
                 or self.emission.shape != (n, m) or self.transition_zero_mask.shape != (n, n):
             raise ValueError("model table shapes are inconsistent")
-        try:
-            allowed = self.allowed_emission_mask()
-        except ConfigError as exc:
-            raise ValueError(str(exc)) from None
         for name, table in (("initial", self.initial), ("transition", self.transition),
                             ("emission", self.emission)):
             # NaN fails both comparisons, so it is caught here too
@@ -144,7 +141,7 @@ class HmmModel:
                 raise ValueError(f"{name} row {bad[0]} does not sum to 1")
         if np.any(self.transition[self.transition_zero_mask] != 0.0):
             raise ValueError("a masked transition cell is positive")
-        if np.any(self.emission[~allowed] != 0.0):
+        if np.any(self.emission[~self._allowed] != 0.0):
             raise ValueError("a tag emits a class it does not belong to")
 
 
@@ -152,9 +149,12 @@ class HmmModel:
 # chunk holds at most this many numbers (256 KiB of float64):
 # ``max_class_size`` (K) per token in the decoder and in the member-only
 # E-step, ``n_tags`` in the dense E-step (``training.e_step_kernel``); the
-# member E-step's transitions, K * K per token, hold K times as many.  That
-# bounds the memory of training and decoding whatever the corpus size; a
-# sentence with more cells is a chunk by itself.
+# member E-step's transitions, K * K per token, hold K times as many.  A
+# chunk the E-step cuts into segments (``pack`` with a span) runs over
+# members even where it was sized by ``n_tags``, so its transitions hold
+# K * K / n_tags times as many (at most K), and its per-token arrays gain one
+# row per segment.  That bounds the memory of training and decoding
+# whatever the corpus size; a sentence with more cells is a chunk by itself.
 CHUNK_CELLS = 2 ** 15
 
 
@@ -186,14 +186,24 @@ class Packed(NamedTuple):
     sentences still running there, so the sentences running at ``t`` are a
     prefix of those running at ``t - 1``.  Row ``offsets[t] + r`` belongs to
     the ``r``-th longest sentence, chunk sentence ``order[r]`` of length
-    ``lengths[r]``.  ``ids[row]`` is a row's class id, ``prev[row - live[0]]``
-    the row at ``t - 1`` of a row at ``t >= 1``, and ``rows[j]`` the row of
-    token ``j`` of the valid sentences in chunk order.  An invalid sentence
-    has length 0 and no rows; ``errors`` holds its DataError by chunk index.
+    ``lengths[r]``, at its position ``start[r] + t``.  ``ids[row]`` is a
+    row's class id, ``prev[row - live[0]]`` the row at ``t - 1`` of a row at
+    ``t >= 1``, and ``rows[j]`` the row of token ``j`` of the valid
+    sentences in chunk order.  An invalid sentence has length 0 and no
+    rows; ``errors`` holds its DataError by chunk index.
+
+    Packed with a ``span`` (``pack``), each sentence longer than ``span + 1``
+    tokens is laid out as segments, each one as a sentence of its own:
+    segment ``j`` holds positions ``j * span`` to ``(j + 1) * span``, so
+    consecutive segments share a position, whose token has a row in each.
+    ``order`` and ``start`` then name each segment's sentence and first
+    position, and ``rows`` follows the segments in chunk order.  Without a
+    ``span``, every sentence is one segment and ``start`` is 0.
     """
 
     order: np.ndarray
     lengths: np.ndarray
+    start: np.ndarray
     live: np.ndarray
     offsets: np.ndarray
     rows: np.ndarray
@@ -207,15 +217,19 @@ class Packed(NamedTuple):
         tag state), each named by the position of its first dead row."""
         rows = np.flatnonzero(dead)
         t = np.searchsorted(self.offsets, rows, side="right") - 1
-        # rows are ascending, so each sentence's first row is its earliest
-        rank, first = np.unique(rows - self.offsets[t], return_index=True)
-        found = sorted(zip(self.order[rank].tolist(), t[first].tolist()))
-        return {i: ImpossibleSequenceError.dying_at(position, i) for i, position in found}
+        rank = rows - self.offsets[t]
+        sentence, position = self.order[rank], self.start[rank] + t
+        by = np.lexsort((position, sentence))  # each sentence's earliest row first
+        found, first = np.unique(sentence[by], return_index=True)
+        return {i: ImpossibleSequenceError.dying_at(p, i)
+                for i, p in zip(found.tolist(), position[by][first].tolist())}
 
 
-def pack(model: HmmModel, sentences) -> Packed:
-    """Validate a chunk of sentences of class ids and lay it out (``Packed``):
-    a sentence is invalid if it is empty or not one-dimensional, if its ids
+def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
+    """Validate a chunk of sentences of class ids and lay it out (``Packed``),
+    each sentence longer than ``span + 1`` tokens as segments.
+
+    A sentence is invalid if it is empty or not one-dimensional, if its ids
     are not of an integer dtype, or if it holds a class id ``model`` does
     not have, of which the first is named."""
     seqs = [np.asarray(s) for s in sentences]
@@ -242,6 +256,17 @@ def pack(model: HmmModel, sentences) -> Packed:
         keep = ~np.isin(owner, invalid)
         flat, owner, position = flat[keep], owner[keep], position[keep]
         lengths[invalid] = 0
+    sentence = np.arange(lengths.size)  # of each segment
+    start = np.zeros(lengths.size, dtype=np.intp)
+    if span:
+        count = np.maximum((lengths - 2) // span + 1, 1)  # segments of each sentence
+        sentence = np.repeat(sentence, count)
+        start = (np.arange(sentence.size) - np.repeat(np.cumsum(count) - count, count)) * span
+        first = (np.cumsum(lengths) - lengths)[sentence] + start  # in flat
+        lengths = np.minimum(lengths[sentence] - start, span + 1)
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        position = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        flat = flat[first[owner] + position]
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
     T = int(sorted_lengths[0]) if lengths.size else 0
@@ -254,7 +279,8 @@ def pack(model: HmmModel, sentences) -> Packed:
     ids = np.empty(flat.size, dtype=np.intp)
     ids[rows] = flat
     prev = np.arange(offsets[min(T, 1)], flat.size) - np.repeat(live[:-1], live[1:])
-    return Packed(order, sorted_lengths, live, offsets, rows, ids, prev, errors)
+    return Packed(sentence[order], sorted_lengths, start[order], live, offsets, rows, ids, prev,
+                  errors)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -475,8 +501,8 @@ def load_model(source, ts: TagSet) -> HmmModel:
     Raises ModelVersionError on a bad magic line, ModelChecksumError on
     truncation or corruption, ModelTagsetMismatchError when the stored
     tag labels differ from ``ts``, and ModelIOError when a class member is
-    not an integer tag id or, naming the table, when the stored model fails
-    ``HmmModel.validate``.
+    not an integer tag id or, naming the class or table, when the stored
+    model cannot be built or fails ``HmmModel.validate``.
     """
     with open_input(source) as stream:
         blob = stream.read()
@@ -521,8 +547,8 @@ def load_model(source, ts: TagSet) -> HmmModel:
     ):
         arrays.append(np.frombuffer(payload[offset:offset + count], dtype=dtype).reshape(shape))
         offset += count
-    model = HmmModel(labels, class_members, *arrays)
     try:
+        model = HmmModel(labels, class_members, *arrays)
         model.validate()
     except ValueError as exc:
         raise ModelIOError(f"model file holds an invalid model: {exc}") from None

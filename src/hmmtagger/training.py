@@ -29,6 +29,22 @@ The member kernel keeps one cell per member slot of each token's class
 (``K = HmmModel.max_class_size`` cells per token), as the decoder does; the
 dense kernel keeps one per tag.  ``e_step_kernel`` states the rule that
 picks one: the member kernel wherever ``K * K < n_tags``.
+
+A chunk whose longest sentence has more than ``SCAN_FROM`` (256) tokens
+runs as a two-level scan (Hassan, Särkkä and García-Fernández 2021, in its
+sequential-segment form), over the member kernel whatever the rule.  Each
+of its sentences longer than ``L + 1`` tokens (``L = SEGMENT``, 64) is cut
+into segments of ``L`` transitions that share their end positions, and
+``pack`` lays the segments out as it lays out sentences.  The scan
+multiplies each segment's ``K x K`` transfer matrices (the transitions into
+a position times its emissions) for all segments at once, one position at
+a time; steps alpha and beta across the segment boundaries through those
+products, for all sentences at once; and then fills alpha and beta inside
+every segment at once, with the sequential recursions above.  A sentence
+of ``T`` tokens then costs about ``3 L + 2 T / L`` steps of the Python loop
+instead of ``2 T``.  Beyond the sequential E-step's arrays the scan keeps
+the ``(segments, K, K)`` products and one more row per segment, about 1/16
+and 1/64 of a per-token array at ``K`` = 4.
 """
 
 from __future__ import annotations
@@ -51,6 +67,13 @@ DEFAULT_ITERATIONS = {REGIME_BIAS: 20, REGIME_COUNTED: 1, REGIME_COUNTED_ONLY: 0
 # the inputs each regime needs; only ``bias`` also takes biases
 REGIME_NEEDS = {REGIME_BIAS: ("corpus",), REGIME_COUNTED: ("tagged", "corpus"),
                 REGIME_COUNTED_ONLY: ("tagged",)}
+# The E-step cuts each sentence longer than SEGMENT + 1 tokens into segments
+# of SEGMENT transitions (L), in a chunk whose longest sentence has more than
+# SCAN_FROM tokens.  The boundary scan runs about 3 L + 2 S steps of the
+# Python loop for sentences of S segments, in place of two per position; it
+# lost to them up to about 3 L tokens (one such sentence among 60 of 5-30).
+SEGMENT = 64
+SCAN_FROM = 4 * SEGMENT
 
 
 @dataclass
@@ -112,12 +135,16 @@ def e_step_kernel(model: HmmModel):
     width ``K``) runs where ``K * K < n_tags``, and the dense one
     (``_Dense``, width ``n_tags``) elsewhere: the member kernel gathers
     ``K * K`` transitions per token, which pays only where that is fewer
-    than the tags.  The E-step alone, on the seed-1 training corpora of
-    ``perfbench`` (medians of 7 alternating runs, 2-core virtual machine):
-    at 44 tags and ``K`` = 4, in sentences of 200-3,000 tokens, the member
-    kernel ran at 241k tok/s against 96k for the dense one; at 10 tags and
-    ``K`` = 4, in sentences of 2-7 tokens, it ran at 1.16M against 1.61M
-    tok/s, and its traced peak memory was 3.6 MB against 0.9 MB.
+    than the tags.  At 10 tags and ``K`` = 4, on the seed-1 training corpus
+    of ``perfbench``'s ``em-short`` (sentences of 2-7 tokens; medians of 7
+    alternating runs, 2-core virtual machine), the member kernel ran at
+    1.16M tok/s against 1.61M for the dense one, and its traced peak memory
+    was 3.6 MB against 0.9 MB.  A chunk cut into segments runs the member
+    kernel whatever this rule says: its scan multiplies ``K x K`` matrices
+    where the dense kernel's would be ``n_tags x n_tags``.  On the seed-1
+    ``viterbi-long`` training corpus (44 tags, ``K`` = 4, sentences of
+    200-3,000 tokens) the scan ran the E-step at 789k tok/s against 250k
+    for the sequential member kernel (medians of 9 alternating runs).
     """
     K = model.max_class_size
     return (_Members, K) if K * K < model.n_tags else (_Dense, model.n_tags)
@@ -154,7 +181,8 @@ class _Members:
     padding slots have probability 0.  The transitions between the slots of
     each row at ``t >= 1`` and of its row at ``t - 1`` are gathered once per
     chunk, so a position is one ``(k, 1, K) @ (k, K, K)`` product for its
-    ``k`` live rows."""
+    ``k`` live rows.  ``transfer`` multiplies them by the target slots'
+    emissions for the boundary scan."""
 
     def __init__(self, model: HmmModel, packed: Packed):
         members, initial, transition, emission = model.member_tables(log=False)
@@ -175,6 +203,10 @@ class _Members:
     def backward(self, weights, first, out):
         np.matmul(self.transition[first:first + out.shape[0]], weights[:, :, None],
                   out=out[:, :, None])
+
+    def transfer(self, first):
+        """The transitions into the rows ``first + B`` times their emissions."""
+        return self.transition[first] * self.obs[first + self.B, None, :]
 
     # Each table's counts are one bincount over flat cells led by each slot's
     # tag; the dummy tag's cells, which gather only zeros, are cut off.
@@ -198,13 +230,18 @@ class _Members:
 def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats) -> dict:
     """Scaled forward-backward over a packed chunk of sentences at once.
 
-    Sentences still running at position ``t`` are a contiguous prefix of
+    Segments still running at position ``t`` are a contiguous prefix of
     the rows at ``t`` (see ``Packed``), so each position costs one product
-    of the kernel (``e_step_kernel``) for all of them.  Every sentence
-    keeps its own per-position scaling.
+    of the kernel (``e_step_kernel``) for all of them.  A sentence cut into
+    several segments first gets alpha at each segment's first row and beta
+    at its last from ``_scan_boundaries``; then its segments run as
+    sentences of their own, and the row each shares with the segment
+    before it adds no scaling factor and no counts.  Every sentence keeps
+    its own per-position scaling.
 
     Adds the chunk's expected counts and log-likelihood into ``into`` and
-    returns ``packed.impossible`` of the rows whose scaling factor is 0: an
+    returns ``packed.impossible`` of the rows whose scaling factor is 0 (or
+    NaN, which the scan can leave after a dead position): an
     ImpossibleSequenceError naming the first dead position of each sentence
     that no tag path can produce, which adds nothing.
     """
@@ -212,16 +249,21 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
     if not N:
         return {}
     B, T = int(live[0]), live.size
-    kernel = e_step_kernel(model)[0](model, packed)
+    entry = np.flatnonzero(packed.start)  # the first rows of later segments
+    # the boundary scan multiplies K x K matrices, not n_tags x n_tags ones
+    kernel = (_Members if entry.size else e_step_kernel(model)[0])(model, packed)
     obs = kernel.obs  # (N, width): the emission probability of each cell
     live_at, row_at = live.tolist(), offsets.tolist()
 
     alpha = np.empty_like(obs)
+    beta = np.ones_like(obs)  # 1 at each sentence's last token
     scale = np.empty((N, 1))
     np.multiply(obs[:B], kernel.initial, out=alpha[:B])
     # A sentence that dies at t gets scale 0 there and NaN after, in its own
     # rows only: each row of a product depends on that row alone.
     with np.errstate(divide="ignore", invalid="ignore"):
+        if entry.size:
+            _scan_boundaries(kernel, packed, alpha, beta)
         for t in range(T):
             lo, k = row_at[t], live_at[t]
             a = alpha[lo:lo + k]
@@ -230,17 +272,18 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
                 a *= obs[lo:lo + k]
             s = a.sum(axis=1, keepdims=True, out=scale[lo:lo + k])
             a /= s
-    dead = packed.impossible(scale == 0.0)
+    dead = packed.impossible(~(scale > 0.0))  # NaN too, which only a dead sentence has
+    scale[entry] = 1.0
     # a dead sentence drops out of every count and of the likelihood
     for r in np.flatnonzero(np.isin(packed.order, list(dead))).tolist():
         cells = offsets[:packed.lengths[r]] + r
         alpha[cells] = 0.0
         scale[cells] = 1.0
+        beta[cells] = 1.0
 
     # obs becomes obs / scale, and the backward pass multiplies it by beta in
     # place: at t >= 1 it then holds the weights that xi needs
     obs /= scale
-    beta = np.ones_like(obs)  # 1 at each sentence's last token
     for t in range(T - 1, 0, -1):
         lo, k, prev = row_at[t], live_at[t], row_at[t - 1]
         w = obs[lo:lo + k]
@@ -248,6 +291,7 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
         kernel.backward(w, lo - B, beta[prev:prev + k])
 
     gamma = np.multiply(alpha, beta, out=beta)
+    gamma[entry] = 0.0
     kernel.add_state_counts(gamma, into)
     if N > B:  # xi; alpha at t - 1 is gathered into gamma's buffer, now free
         # mode="clip" (the rows are in range) writes straight into ``out``
@@ -256,6 +300,68 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
         kernel.add_transition_counts(alpha_prev, obs[B:], into)
     into.log_likelihood += float(np.log(scale).sum())
     return dead
+
+
+def _scan_boundaries(kernel, packed: Packed, alpha, beta) -> None:
+    """Alpha at the first row and beta at the last row of every segment of
+    the sentences that ``pack`` cut into several, written into ``alpha``
+    and ``beta``; ``alpha`` holds each sentence's unscaled first row.
+
+    The transfer matrices of a segment's positions, the transitions into
+    each times its emissions (``_Members.transfer``), are multiplied for all
+    segments at once, one position at a time, and renormalised by the
+    largest cell, so that they cannot underflow.  Then alpha steps from each
+    segment's first row to the next segment's, and beta back from each
+    segment's last row to the one before's, through the products, for all
+    sentences at once: about ``T + 2 S`` steps of the Python loop for
+    sentences of ``S`` segments of ``T - 1`` transitions, not ``2 (T - 1) S``.
+    Beta is divided by the sum that scaled alpha at the same boundary, so
+    both are scaled as the sequential recursions scale them.  A dead
+    sentence can get NaN here, in its own rows only.
+    """
+    offsets, B, T = packed.offsets, int(packed.live[0]), packed.live.size
+    count = np.bincount(packed.order)[packed.order]  # segments of each segment's sentence
+    cut = np.flatnonzero(count > 1)  # ranks, by decreasing length
+    running = np.searchsorted(-packed.lengths[cut], -np.arange(T), side="left").tolist()
+    product = kernel.transfer(offsets[1] - B + cut)  # each segment has a row at t = 1
+    product /= product.max(axis=(1, 2), keepdims=True)
+    for t in range(2, T):
+        p = product[:running[t]]
+        np.matmul(p, kernel.transfer(offsets[t] - B + cut[:p.shape[0]]), out=p)
+        p /= p.max(axis=(1, 2), keepdims=True)
+
+    # The cut segments by index in their sentence, then longest sentence
+    # first: the sentences with a segment j + 1 are a prefix of those with a
+    # segment j.  Every segment but a sentence's last has T - 1 transitions.
+    index = packed.start[cut] // (T - 1)
+    by = np.lexsort((packed.order[cut], -count[cut], index))
+    product, rank = product[by], cut[by]
+    at = np.cumsum([0, *np.bincount(index)]).tolist()  # segments j: at[j] to at[j + 1]
+    total = np.empty((rank.size, 1))  # the sum that scales alpha after each segment
+    a = alpha[rank[:at[1]]]
+    for j in range(len(at) - 1):
+        lo, hi = at[j], at[j + 1]
+        v = np.matmul(a[:, None], product[lo:hi])[:, 0]
+        np.sum(v, axis=1, keepdims=True, out=total[lo:hi])
+        if j + 2 < len(at):
+            k = at[j + 2] - hi
+            a = alpha[rank[hi:hi + k]] = v[:k] / total[lo:lo + k]
+    b = np.ones((at[1], alpha.shape[1]))
+    for j in range(len(at) - 2, 0, -1):
+        lo, hi = at[j], at[j + 1]
+        b[:hi - lo] = np.matmul(product[lo:hi], b[:hi - lo, :, None])[..., 0] / total[lo:hi]
+        before = rank[at[j - 1]:at[j - 1] + hi - lo]
+        beta[offsets[packed.lengths[before] - 1] + before] = b[:hi - lo]
+
+
+def _pack(model: HmmModel, sentences) -> Packed:
+    """``pack`` for the E-step, in segments of ``SEGMENT`` transitions where
+    a sentence has more than ``SCAN_FROM`` tokens."""
+    try:
+        longest = max(map(len, sentences), default=0)
+    except TypeError:  # a sentence without a length, which ``pack`` reports
+        longest = 0
+    return pack(model, sentences, SEGMENT if longest > SCAN_FROM else None)
 
 
 def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStats:
@@ -269,7 +375,7 @@ def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStat
     naming the first dead position, when no tag path has positive
     probability.
     """
-    packed = pack(model, [sentence])
+    packed = _pack(model, [sentence])
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
     failures = packed.errors or _add_expected_counts(model, packed, stats)
     if failures:
@@ -325,7 +431,7 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     n_sentences = 0
     skipped: list[int] = []
     for first, chunk in chunks(corpus, e_step_kernel(model)[1]):
-        packed = pack(model, chunk)
+        packed = _pack(model, chunk)
         dead = _add_expected_counts(model, packed, stats)
         failures = packed.errors if skip_impossible else {**packed.errors, **dead}
         if failures:

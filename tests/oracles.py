@@ -16,9 +16,22 @@ def log_or_neginf(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
-def path_log_score(model, path, seq) -> float:
-    """Log joint probability of a tag path, accumulated left to right."""
-    log_init, log_trans, log_emis = (np.asarray(a) for a in model.log_tables())
+def log_tables(model):
+    """The initial, transition and emission tables as natural logs, -inf
+    for zeros, taken by ``np.log`` as the decoder takes them, so that paths
+    tied bit for bit there are tied here too."""
+    logs = []
+    for table in (model.initial, model.transition, model.emission):
+        out = np.full(table.shape, -np.inf)
+        np.log(table, out=out, where=table > 0)
+        logs.append(out)
+    return tuple(logs)
+
+
+def path_log_score(tables, path, seq) -> float:
+    """Log joint probability of a tag path under the ``log_tables`` of a
+    model, accumulated left to right."""
+    log_init, log_trans, log_emis = tables
     score = log_init[path[0]] + log_emis[path[0], seq[0]]
     for t in range(1, len(seq)):
         score = (score + log_trans[path[t - 1], path[t]]) + log_emis[path[t], seq[t]]
@@ -34,11 +47,12 @@ def brute_viterbi(model, seq):
     tie-breaking at each backtrack decision produces.
     """
     candidates = [model.class_members[c] for c in seq]
+    tables = log_tables(model)
     best_path = None
     best_score = -math.inf
     best_rev = None
     for path in itertools.product(*candidates):
-        score = path_log_score(model, path, seq)
+        score = path_log_score(tables, path, seq)
         if score == -math.inf:
             continue
         rev = path[::-1]

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hmmtagger import model as model_module
+from hmmtagger import model as model_module, training
 from hmmtagger.decoder import Decoding, decode, viterbi
 from hmmtagger.errors import DataError, ImpossibleSequenceError
 from hmmtagger.lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
@@ -13,7 +13,7 @@ from hmmtagger.model import (BiasSet, HmmModel, TransitionBias, apply_biases, ch
 from hmmtagger.tagset import Tag, TagSet, load_tagset
 from hmmtagger.training import e_step_kernel, expected_counts, forward_backward
 
-from oracles import brute_viterbi
+from oracles import brute_viterbi, log_tables
 
 
 def tiny_tagset(n):
@@ -253,7 +253,7 @@ def dense_viterbi(model, sentence):
     but for the validation of ``sentence``, which the caller does: an
     ``(n, n)`` add and argmax over all tags per token."""
     seq = np.asarray(sentence, dtype=np.intp)
-    log_initial, log_transition, log_emission = model.log_tables()
+    log_initial, log_transition, log_emission = log_tables(model)
     T, n = seq.size, model.n_tags
 
     score = log_initial + log_emission[:, seq[0]]
@@ -424,3 +424,11 @@ def test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeyp
                 assert err.value.position == dead[i]
             n_dead += len(dead)
         assert n_dead >= 500
+
+
+def test_the_segment_scan_names_the_same_impossible_sentences(monkeypatch):
+    # the E-step cuts every sentence longer than 3 tokens into segments of 2
+    # transitions
+    monkeypatch.setattr(training, "SEGMENT", 2)
+    monkeypatch.setattr(training, "SCAN_FROM", 3)
+    test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeypatch)

@@ -270,7 +270,7 @@ class TestValidation:
     @pytest.mark.parametrize("classes, message", BAD_INVENTORIES)
     def test_rejects_bad_class(self, classes, message):
         with pytest.raises(ValueError, match=message):
-            toy_model(class_members=classes).validate()
+            toy_model(class_members=classes)
 
     def test_save_rejects_nan_model(self):
         buf = io.BytesIO()
@@ -335,7 +335,8 @@ def test_model_copies_its_tables():
     model = toy_model(initial=initial)
     initial[0] = 0.9
     assert model.initial[0] == 0.6
-    for table in model.log_tables():
+    for table in (*model.member_tables(), *model.member_tables(log=False),
+                  model.allowed_emission_mask()):
         assert not table.flags.writeable
 
 
@@ -363,6 +364,21 @@ def test_pack_lays_out_exactly_the_valid_sentences(sentences):
         rows = packed.rows[end:end + len(sentences[i])].tolist()
         end += len(rows)
         assert [packed.prev[r - first_rows] for r in rows[1:]] == rows[:-1]
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.lists(st.lists(st.integers(0, 2), max_size=12), max_size=8), st.integers(1, 4))
+def test_pack_cuts_the_sentences_longer_than_span_plus_one(sentences, span):
+    model = uniform_model(tiny_tagset(2), [(0,), (1,), (0, 1)])  # class ids 0-2
+    packed = pack(model, sentences, span)
+    # segment j holds positions j * span to (j + 1) * span
+    want = [(i, j, s[j:j + span + 1]) for i, s in enumerate(sentences) if s
+            for j in range(0, max(len(s) - 1, 1), span)]
+    got = [(int(packed.order[r]), int(packed.start[r]),
+            packed.ids[packed.offsets[:length] + r].tolist())
+           for r, length in enumerate(packed.lengths.tolist()) if length]
+    assert sorted(got) == sorted(want)
+    assert packed.lengths.tolist() == sorted(packed.lengths.tolist(), reverse=True)
 
 
 @pytest.mark.parametrize("sentence, message", [

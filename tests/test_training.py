@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmmtagger.errors import ConfigError, DataError, ImpossibleSequenceError
-from hmmtagger import model as model_module
+from hmmtagger import model as model_module, training
 from hmmtagger.model import (BiasSet, TransitionBias, apply_biases, chunks, membership_mask,
                              uniform_model)
 from hmmtagger.tagset import Tag, TagSet
@@ -21,6 +21,7 @@ from hmmtagger.training import (
 )
 
 from oracles import brute_em_step, brute_posterior_stats, random_instance
+from test_decoder import sample_sentence
 
 
 def tiny_tagset(n):
@@ -214,7 +215,8 @@ def prohibited_model(n_tags, seed):
     from hmmtagger.model import HmmModel
 
     rng = np.random.default_rng(seed)
-    classes = [(t,) for t in range(n_tags)] + [(0, 1), tuple(range(n_tags))]
+    # at 2 tags (0, 1) is the class of every tag, and an inventory holds a class once
+    classes = [(t,) for t in range(n_tags)] + sorted({(0, 1), tuple(range(n_tags))})
     initial = rng.random(n_tags) + 0.05
     transition = rng.random((n_tags, n_tags)) + 0.05
     emission = np.zeros((n_tags, len(classes)))
@@ -259,15 +261,8 @@ class TestPackedEStep:
         rng = np.random.default_rng(7)
         lengths = [*range(1, max_len + 1)] * 3 + [max_len + 2]
         rng.shuffle(lengths)
-        corpus, oracles = [], []
-        for length in lengths:
-            while True:
-                seq = rng.integers(model.n_classes, size=length).tolist()
-                oracle = brute_posterior_stats(model, seq)
-                if oracle is not None:
-                    break
-            corpus.append(seq)
-            oracles.append(oracle)
+        corpus = [sample_sentence(rng, model, length) for length in lengths]
+        oracles = [brute_posterior_stats(model, seq) for seq in corpus]
         sizes = [len(c) for _, c in chunks(corpus, width)]
         assert len(sizes) >= 4 and 1 in sizes
 
@@ -374,6 +369,84 @@ class TestPackedEStep:
         # skipping the impossible one leaves the invalid one to fail
         with pytest.raises(DataError, match="^sentence 3: unknown class id 9 at position 1$"):
             expected_counts(model, corpus, skip_impossible=True)
+
+
+class TestSegmentScan:
+    """The E-step cut into segments (``training.SEGMENT``, L), here wherever
+    a sentence has more than L + 1 tokens."""
+
+    @pytest.fixture(params=[2, 3], ids=["L=2", "L=3"])
+    def span(self, request, monkeypatch):
+        monkeypatch.setattr(training, "SEGMENT", request.param)
+        monkeypatch.setattr(training, "SCAN_FROM", request.param + 1)
+        return request.param
+
+    @pytest.mark.parametrize("rule", ["dense", "member"])
+    def test_counts_match_oracle(self, span, rule):
+        L, rng = span, np.random.default_rng(span)
+        for _ in range(2):
+            if rule == "dense":
+                model = prohibited_model(3, seed=int(rng.integers(100)))
+                lengths = [1, 2, L, L + 1, 2 * L + 1, 3 * L + 1]
+            else:  # the oracle enumerates 5 ** length paths
+                model = narrow_model(rng)
+                while model.n_tags != 5:
+                    model = narrow_model(rng)
+                lengths = [1, 2, L, L + 1, 2 * L + 1, 7]
+            assert e_step_kernel(model)[1] == (model.n_tags if rule == "dense" else 2)
+            corpus = [sample_sentence(rng, model, n) for n in lengths]
+            rng.shuffle(corpus)
+            oracles = [brute_posterior_stats(model, seq) for seq in corpus]
+            stats, skipped = expected_counts(model, corpus)
+            assert skipped == []
+            for part, got in enumerate((stats.initial_counts, stats.transition_counts,
+                                        stats.emission_counts)):
+                np.testing.assert_allclose(got, sum(o[part] for o in oracles), rtol=0, atol=1e-9)
+            assert stats.log_likelihood == pytest.approx(sum(o[3] for o in oracles), abs=1e-9)
+            assert not stats.transition_counts[model.transition == 0.0].any()
+            assert not stats.emission_counts[~model.allowed_emission_mask()].any()
+
+    def test_dead_sentences_are_skipped_cleanly(self, monkeypatch):
+        monkeypatch.setattr(training, "SEGMENT", 2)
+        monkeypatch.setattr(training, "SCAN_FROM", 3)
+        model = prohibited_model(3, seed=1)  # classes 0-2 are tags 0-2, 4 is every tag
+        # Segments hold positions 0-2, 2-4, 4-6 and 6-8.  The prohibited 0 -> 1
+        # kills these at 3, inside a segment, and at 4 and 2, where a segment
+        # starts and the one before it ends.
+        dead = {3: [4, 4, 0, 1, 4, 4, 4, 4, 4], 4: [4, 4, 4, 0, 1, 4, 4, 4, 4],
+                2: TestPackedEStep.DEAD}
+        live = [[4] * 9, [3, 4, 2, 4, 3, 0, 4, 4, 4, 2]] + TestPackedEStep.CORPUS
+        corpus = live[:1] + [dead[3]] + live[1:4] + [dead[4], dead[2]] + live[4:]
+        got, skipped = expected_counts(model, corpus, skip_impossible=True)
+        want, _ = expected_counts(model, live)
+        assert skipped == [1, 5, 6]
+        for part in ("initial_counts", "transition_counts", "emission_counts"):
+            assert np.isfinite(getattr(got, part)).all()
+            np.testing.assert_allclose(getattr(got, part), getattr(want, part),
+                                       rtol=1e-12, atol=1e-12)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
+        for position, sentence in dead.items():
+            with pytest.raises(ImpossibleSequenceError) as err:
+                forward_backward(model, sentence)
+            assert err.value.position == position
+
+    @pytest.mark.parametrize("n_tags, n_classes", [(10, 30), (44, 300)])
+    def test_matches_the_sequential_recursions(self, monkeypatch, n_tags, n_classes):
+        # the default L; chunks of sentences from 1 to 2,000 tokens, some cut
+        from hmmtagger.synth import make_benchmark
+
+        bench = make_benchmark(seed=4, n_tags=n_tags, n_classes=n_classes,
+                               train_tokens=12_000, tagged_tokens=0, heldout_tokens=0)
+        tokens = [c for sentence in bench.train_untagged for c in sentence]
+        ends = np.cumsum([2_000, 1, 65, 66, 300, 2, 129, 130, 257, 700] * 3)
+        corpus = [tokens[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+        got, _ = expected_counts(bench.generator, corpus)
+        monkeypatch.setattr(training, "SCAN_FROM", len(tokens))
+        want, _ = expected_counts(bench.generator, corpus)
+        for part in ("initial_counts", "transition_counts", "emission_counts"):
+            np.testing.assert_allclose(getattr(got, part), getattr(want, part),
+                                       rtol=1e-10, atol=1e-10)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
 
 
 class TestCountedInit:
