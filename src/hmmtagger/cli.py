@@ -74,6 +74,17 @@ def _resolve_inputs(**paths) -> dict:
     return resolved
 
 
+def _check_outputs(flag: str, *paths) -> None:
+    """Check, before any work starts, that each output path of ``flag`` can
+    be created: its directory exists and it is not a directory itself."""
+    for path in paths:
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise UsageError(f"{flag}: no such directory: {directory}")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag}: is a directory: {path}")
+
+
 def _load_resources(inputs):
     ts = load_tagset(inputs["tagset"])
     store = ClassStore()
@@ -100,6 +111,8 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from None
 
     log_path = args.log or args.out + ".log"
+    _check_outputs("--out", args.out)
+    _check_outputs("--log" if args.log else "--out", log_path)
     manifest = RunManifest(
         "train",
         inputs=inputs,
@@ -144,6 +157,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     inputs = _resolve_inputs(model=args.model, tagset=args.tagset,
                              lexicon=args.lexicon, rules=args.rules, input=args.input)
+    _check_outputs("output", args.output)
     manifest = RunManifest(
         "tag",
         inputs=inputs,
@@ -190,6 +204,8 @@ def cmd_eval(args) -> int:
     inputs = _resolve_inputs(pred=args.pred, gold=args.gold, tagset=args.tagset,
                              lexicon=args.lexicon, rules=args.rules,
                              major_classes=args.major_classes)
+    if args.json:
+        _check_outputs("--json", args.json)
     manifest = RunManifest(
         "eval",
         inputs=inputs,
@@ -240,6 +256,7 @@ def cmd_synth(args) -> int:
     outputs = {name: os.path.abspath(f"{prefix}.{ext}") for name, ext in
                (("tagset", "tags"), ("lexicon", "lex"), ("rules", "rules"),
                 ("model", "model"), ("gold", "gold"), ("untagged", "txt"))}
+    _check_outputs("--out-prefix", *outputs.values())
     manifest = RunManifest(
         "synth",
         outputs=outputs,

@@ -43,9 +43,14 @@ class HmmModel:
     The constructor copies the four tables and marks the copies read-only,
     so assigning into a table raises ValueError and nothing the caller
     still holds can change the model.  Operations in this package return
-    new instances, so sharing a model across threads is safe.  It raises
-    ValueError for a class inventory that ``membership_mask`` rejects; the
-    tables are checked by ``validate``.
+    new instances, so sharing a model across threads is safe.
+
+    A model is valid once it is built.  The constructor raises ValueError
+    for a class inventory that ``membership_mask`` rejects and, naming the
+    table, for a table of the wrong shape, a value that is NaN or outside
+    [0, 1], a row (or ``initial``) that does not sum to 1 within
+    ``ROW_SUM_TOL``, a positive masked transition, and an emission of a
+    class by a tag that is not one of its members.
     """
 
     def __init__(self, tag_labels, class_members, initial, transition, emission,
@@ -65,6 +70,26 @@ class HmmModel:
             self._allowed = _read_only(membership_mask(n, self.class_members))
         except ConfigError as exc:
             raise ValueError(str(exc)) from None
+        for name, shape in (("initial", (n,)), ("transition", (n, n)),
+                            ("emission", self._allowed.shape), ("transition_zero_mask", (n, n))):
+            table = getattr(self, name)
+            if table.shape != shape:
+                raise ValueError(f"{name} has shape {table.shape}, not {shape}")
+        for name, table in (("initial", self.initial), ("transition", self.transition),
+                            ("emission", self.emission)):
+            # NaN fails both comparisons, so it is caught here too
+            if not np.all((table >= 0) & (table <= 1)):
+                raise ValueError(f"{name} contains values that are NaN or outside [0, 1]")
+        if abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
+            raise ValueError(f"initial sums to {self.initial.sum()!r}, not 1")
+        for name, table in (("transition", self.transition), ("emission", self.emission)):
+            bad = np.nonzero(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL)[0]
+            if bad.size:
+                raise ValueError(f"{name} row {bad[0]} does not sum to 1")
+        if np.any(self.transition[self.transition_zero_mask] != 0.0):
+            raise ValueError("transition is positive in a masked cell")
+        if np.any(self.emission[~self._allowed] != 0.0):
+            raise ValueError("emission is positive for a class that does not contain the tag")
         self._member_cache = None
 
     @property
@@ -118,31 +143,6 @@ class HmmModel:
                 True: (members, *map(_safe_log, tables)),
             }
         return self._member_cache[log]
-
-    def validate(self) -> None:
-        """Check shapes, finite probabilities, stochasticity, mask, and
-        emission-support invariants; raises ValueError naming the table
-        that breaks one.  The class members were checked when the model
-        was built."""
-        n, m = self.n_tags, self.n_classes
-        if self.initial.shape != (n,) or self.transition.shape != (n, n) \
-                or self.emission.shape != (n, m) or self.transition_zero_mask.shape != (n, n):
-            raise ValueError("model table shapes are inconsistent")
-        for name, table in (("initial", self.initial), ("transition", self.transition),
-                            ("emission", self.emission)):
-            # NaN fails both comparisons, so it is caught here too
-            if not np.all((table >= 0) & (table <= 1)):
-                raise ValueError(f"{name} contains values that are NaN or outside [0, 1]")
-        if abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"initial sums to {self.initial.sum()!r}, not 1")
-        for name, table in (("transition", self.transition), ("emission", self.emission)):
-            bad = np.nonzero(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL)[0]
-            if bad.size:
-                raise ValueError(f"{name} row {bad[0]} does not sum to 1")
-        if np.any(self.transition[self.transition_zero_mask] != 0.0):
-            raise ValueError("a masked transition cell is positive")
-        if np.any(self.emission[~self._allowed] != 0.0):
-            raise ValueError("a tag emits a class it does not belong to")
 
 
 # Cells (tokens x width) of one packed chunk.  Each per-token array of a
@@ -469,11 +469,8 @@ def save_model(model: HmmModel, sink) -> None:
 
     Layout: magic line, 4-byte big-endian header length, JSON header (tag
     labels and class signatures), raw little-endian float64 tables, the zero
-    mask as bytes, then a SHA-256 digest of everything before it.  An
-    invalid model (see ``HmmModel.validate``) raises ValueError and writes
-    nothing.
+    mask as bytes, then a SHA-256 digest of everything before it.
     """
-    model.validate()
     header = json.dumps({
         "tags": list(model.tag_labels),
         "classes": [list(m) for m in model.class_members],
@@ -501,8 +498,8 @@ def load_model(source, ts: TagSet) -> HmmModel:
     Raises ModelVersionError on a bad magic line, ModelChecksumError on
     truncation or corruption, ModelTagsetMismatchError when the stored
     tag labels differ from ``ts``, and ModelIOError when a class member is
-    not an integer tag id or, naming the class or table, when the stored
-    model cannot be built or fails ``HmmModel.validate``.
+    not an integer tag id or, naming the class or table, when ``HmmModel``
+    rejects the stored model.
     """
     with open_input(source) as stream:
         blob = stream.read()
@@ -548,11 +545,9 @@ def load_model(source, ts: TagSet) -> HmmModel:
         arrays.append(np.frombuffer(payload[offset:offset + count], dtype=dtype).reshape(shape))
         offset += count
     try:
-        model = HmmModel(labels, class_members, *arrays)
-        model.validate()
+        return HmmModel(labels, class_members, *arrays)
     except ValueError as exc:
         raise ModelIOError(f"model file holds an invalid model: {exc}") from None
-    return model
 
 
 def default_biases(ts: TagSet) -> BiasSet:

@@ -123,9 +123,7 @@ def sample_generator_model(rng: np.random.Generator, ts: TagSet,
         if ambig:
             emission[t, ambig] = share_ambig * split
         emission[t] /= emission[t].sum()
-    model = HmmModel(ts.labels, class_members, initial, transition, emission)
-    model.validate()
-    return model
+    return HmmModel(ts.labels, class_members, initial, transition, emission)
 
 
 def sample_corpus(rng: np.random.Generator, model: HmmModel, n_tokens: int,

@@ -400,7 +400,6 @@ def _normalize_rows(counts: np.ndarray, allowed: np.ndarray, floor: float,
 def _reestimate(model: HmmModel, stats: SufficientStats, floor: float) -> HmmModel:
     allowed_trans = ~model.transition_zero_mask
     transition = _normalize_rows(stats.transition_counts, allowed_trans, floor, model.transition)
-    transition[model.transition_zero_mask] = 0.0
     emission = _normalize_rows(stats.emission_counts, model.allowed_emission_mask(),
                                floor, model.emission)
     initial = stats.initial_counts + floor

@@ -38,6 +38,19 @@ def path_log_score(tables, path, seq) -> float:
     return float(score)
 
 
+def assert_stochastic(model, tol=1e-9):
+    """Assert that ``initial`` and every row of ``transition`` and
+    ``emission`` are distributions summing to 1 within ``tol``, that every
+    masked transition is exactly 0, and that no tag emits a class it is not
+    a member of, reading only the model's tables and class members."""
+    for table in (model.initial[None], model.transition, model.emission):
+        assert np.all(table >= 0)
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=tol)
+    assert np.all(model.transition[model.transition_zero_mask] == 0.0)
+    for c, members in enumerate(model.class_members):
+        assert np.all(np.delete(model.emission[:, c], members) == 0.0), f"class {c}"
+
+
 def brute_viterbi(model, seq):
     """Exhaustive argmax over all member-consistent paths.
 

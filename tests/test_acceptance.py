@@ -38,7 +38,7 @@ from hmmtagger.tagset import Tag, TagSet, load_tagset
 from hmmtagger.training import TrainingConfig, baum_welch, counted_init, forward_backward, train_regime
 
 from corpus_fixtures import GERMAN_TOP10_KIND, class_frequency_corpus, error_type_corpus
-from oracles import brute_posterior_stats, brute_viterbi, random_instance
+from oracles import assert_stochastic, brute_posterior_stats, brute_viterbi, random_instance
 
 
 @contextmanager
@@ -136,13 +136,13 @@ def test_criterion_05_stochasticity_and_mask_preservation():
         ts = TagSet([Tag(i, f"T{i:02d}") for i in range(4)])
         classes = [(0,), (1,), (2,), (3,), (0, 1), (1, 2, 3), (0, 3)]
         m = uniform_model(ts, classes)
-        m.validate()
+        assert_stochastic(m)
 
         biased = apply_biases(m, BiasSet(
             [TransitionBias(0, 1, 4.0), TransitionBias(1, 0, 0.0),
              TransitionBias(3, 3, 0.0)],
             [SymbolBias((0, 1), 1, 2.0)]))
-        biased.validate()
+        assert_stochastic(biased)
         assert biased.transition[1, 0] == 0.0 and biased.transition[3, 3] == 0.0
 
         rng = np.random.default_rng(1005)
@@ -159,12 +159,12 @@ def test_criterion_05_stochasticity_and_mask_preservation():
             tagged.append(sent)
 
         counted = counted_init(tagged, ts, classes)
-        counted.validate()
+        assert_stochastic(counted)
 
         iterations = []
 
         def check(i, model, ll):
-            model.validate()
+            assert_stochastic(model)
             assert model.transition[1, 0] == 0.0
             assert model.transition[3, 3] == 0.0
             iterations.append(i)

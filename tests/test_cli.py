@@ -61,8 +61,7 @@ class TestSynthCommand:
     def test_generator_model_loads(self, bench_dir):
         p = paths(bench_dir)
         ts = load_tagset(p["tags"])
-        model = load_model(p["model"], ts)
-        model.validate()
+        assert load_model(p["model"], ts).n_tags == 5
 
     def test_dimension_checks(self, tmp_path, capsys):
         assert main(["synth", "--tags", "5", "--classes", "4", "--tokens", "10",
@@ -122,7 +121,7 @@ class TestTrainCommand:
                      "--tagged", p["gold"], "--out", out])
         assert code == 0
         ts = load_tagset(p["tags"])
-        load_model(out, ts).validate()
+        load_model(out, ts)
         assert os.path.isfile(out + ".log")
 
     def test_tagged_corpus_may_carry_the_class_column(self, bench_dir, tmp_path):
@@ -172,7 +171,7 @@ class TestTrainCommand:
                      "--lexicon", p["lex"], "--rules", p["rules"],
                      "--tagged", p["gold"], "--iters", "0", "--out", out])
         assert code == 0
-        load_model(out, load_tagset(p["tags"])).validate()
+        load_model(out, load_tagset(p["tags"]))
 
     def test_bias_regime_writes_trajectory(self, bench_dir, tmp_path):
         p = paths(bench_dir)
@@ -425,6 +424,38 @@ class TestEvalCommand:
 class TestExitCodes:
     def test_unknown_subcommand_is_usage(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("flag", ["--out", "--log", "output", "--json", "--out-prefix"])
+    def test_unwritable_output_is_usage_error(self, bench_dir, trained, tmp_path, capsys,
+                                              flag, bad):
+        p = paths(bench_dir)
+        res = ["--tagset", p["tags"], "--lexicon", p["lex"], "--rules", p["rules"]]
+        major = tmp_path / "major.map"
+        major.write_text("".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        if bad == "directory":  # synth writes the prefix plus an extension
+            (work / ("x.tags" if flag == "--out-prefix" else "x")).mkdir()
+            path = str(work / "x")
+        else:
+            path = str(work / "nodir" / "x")
+        train = ["train", "--regime", "counted-only", *res, "--tagged", p["gold"]]
+        argv = {
+            "--out": train + ["--out", path],
+            "--log": train + ["--out", str(work / "m.model"), "--log", path],
+            "output": ["tag", "--model", trained, *res, "--pretokenized", p["txt"], path],
+            "--json": ["eval", "--pred", p["gold"], "--gold", p["gold"], *res,
+                       "--major-classes", str(major), "--json", path],
+            "--out-prefix": ["synth", "--tags", "3", "--classes", "6", "--tokens", "50",
+                             "--seed", "1", "--out-prefix", path],
+        }[flag]
+        before = sorted(os.walk(work))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: {flag}: ")
+        assert sorted(os.walk(work)) == before  # nothing written
 
     def test_impossible_sentence_is_exit_2(self, tmp_path, capsys):
         # a model with a hard prohibition; input forces the masked transition

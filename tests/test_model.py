@@ -30,6 +30,8 @@ from hmmtagger.model import (
 from hmmtagger.tagset import Tag, TagSet, load_tagset
 from hmmtagger.training import TrainingConfig, baum_welch, counted_init
 
+from oracles import assert_stochastic
+
 
 def tiny_tagset(n):
     return TagSet([Tag(i, f"T{i:02d}") for i in range(n)])
@@ -51,7 +53,6 @@ class TestUniformModel:
         np.testing.assert_allclose(m.emission[1], [0.0, 0.5, 0.5])
         np.testing.assert_allclose(m.initial, [0.5, 0.5])
         np.testing.assert_allclose(m.transition, np.full((2, 2), 0.5))
-        m.validate()
 
     def test_single_tag_single_class(self):
         m = uniform_model(tiny_tagset(1), [(0,)])
@@ -85,7 +86,6 @@ class TestApplyBiases:
         np.testing.assert_allclose(biased.transition[0], [1.0, 0.0])
         assert biased.transition_zero_mask[0, 1]
         assert not m.transition_zero_mask.any()  # input untouched
-        biased.validate()
 
     def test_unit_weights_are_identity(self):
         ts = tiny_tagset(3)
@@ -104,7 +104,6 @@ class TestApplyBiases:
         # row A was (1/2, 1/2, 0); the biased cell grows 5x before renormalizing
         np.testing.assert_allclose(biased.emission[0], [5 / 6, 1 / 6, 0.0])
         np.testing.assert_allclose(biased.emission[1], m.emission[1])
-        biased.validate()
 
     def test_unknown_signature_rejected(self):
         ts = tiny_tagset(2)
@@ -138,7 +137,7 @@ class TestApplyBiases:
         biased = apply_biases(m, BiasSet(
             [TransitionBias(0, 1, 3.5), TransitionBias(2, 0, 0.25)],
             [SymbolBias((0, 2), 2, 7.0)]))
-        biased.validate()
+        assert_stochastic(biased)
 
 
 class TestBiasFile:
@@ -255,6 +254,34 @@ def toy_model(**tables):
     return HmmModel(tiny_tagset(2).labels, members, **args)
 
 
+def toy_model_file(**tables):
+    """A model file of ``toy_model``'s tags and classes holding ``tables``
+    in place of its own, whether or not a model would accept them."""
+    model = toy_model()
+    buf = io.BytesIO()
+    save_model(model, buf)
+    blob = buf.getvalue()
+    magic_len = blob.index(b"\n") + 1
+    (header_len,) = struct.unpack(">I", blob[magic_len:magic_len + 4])
+    payload = blob[:magic_len + 4 + header_len]
+    for name, dtype in (("initial", "<f8"), ("transition", "<f8"), ("emission", "<f8"),
+                        ("transition_zero_mask", np.uint8)):
+        payload += np.asarray(tables.get(name, getattr(model, name)), dtype=dtype).tobytes()
+    return payload + hashlib.sha256(payload).digest()
+
+
+# tables that a toy_model would decode or train silently wrong with
+SILENT_TABLES = [
+    pytest.param({"emission": [[0.5, 0.3, 0.2], [0.0, 0.4, 0.6]]},
+                 "emission .* class that does not contain", id="emission-outside-its-classes"),
+    pytest.param({"transition": [[5, 5], [3, 7]]}, "transition .* outside", id="transition-counts"),
+    pytest.param({"transition": [[0.5, 0.5], [np.nan, 0.7]]}, "transition .* NaN",
+                 id="nan-transition"),
+    pytest.param({"transition_zero_mask": [[False, True], [False, False]]},
+                 "transition is positive in a masked cell", id="positive-masked-transition"),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize("tables, message", [
         ({"transition": [[0.5, np.nan], [0.3, 0.7]]}, "transition .* NaN"),
@@ -262,10 +289,21 @@ class TestValidation:
         ({"emission": [[0.5, 0.0, np.nan], [0.0, 0.4, 0.6]]}, "emission .* NaN"),
         ({"class_members": [(0,), (1,), (0, 2)]}, "class 2 .* outside the tag set"),
         ({"class_members": [(0,), (-1,), (0, 1)]}, "class 1 .* outside the tag set"),
+        *SILENT_TABLES,
+        pytest.param({"emission": [[0.5, 0.0, 0.5, 0.0], [0.0, 0.4, 0.6, 0.0]]},
+                     r"emission has shape \(2, 4\), not \(2, 3\)", id="emission-shape"),
+        pytest.param({"transition": [[0.5, 0.4], [0.3, 0.7]]}, "transition row 0 does not sum",
+                     id="transition-row-sum"),
+        pytest.param({"initial": [0.6, 0.6]}, "initial sums to", id="initial-sum"),
     ])
     def test_rejects(self, tables, message):
         with pytest.raises(ValueError, match=message):
-            toy_model(**tables).validate()
+            toy_model(**tables)
+
+    @pytest.mark.parametrize("tables, message", SILENT_TABLES)
+    def test_load_rejects_a_silent_model_file(self, tables, message):
+        with pytest.raises(ModelIOError, match=message):
+            load_model(io.BytesIO(toy_model_file(**tables)), tiny_tagset(2))
 
     @pytest.mark.parametrize("classes, message", BAD_INVENTORIES)
     def test_rejects_bad_class(self, classes, message):
@@ -273,22 +311,16 @@ class TestValidation:
             toy_model(class_members=classes)
 
     def test_save_rejects_nan_model(self):
+        # such a model cannot be built, so nothing reaches the sink
         buf = io.BytesIO()
         with pytest.raises(ValueError, match="transition"):
             save_model(toy_model(transition=[[0.5, np.nan], [0.3, 0.7]]), buf)
         assert buf.getvalue() == b""
 
     def test_load_rejects_nan_patched_into_file(self):
-        buf = io.BytesIO()
-        save_model(toy_model(), buf)
-        blob = bytearray(buf.getvalue()[:-hashlib.sha256().digest_size])
-        magic_len = blob.index(b"\n") + 1
-        (header_len,) = struct.unpack(">I", blob[magic_len:magic_len + 4])
-        cell = magic_len + 4 + header_len + 2 * 8 + 8  # transition[0, 1]
-        blob[cell:cell + 8] = struct.pack("<d", float("nan"))
-        blob += hashlib.sha256(blob).digest()
+        blob = toy_model_file(transition=[[0.5, np.nan], [0.3, 0.7]])
         with pytest.raises(ModelIOError, match="transition"):
-            load_model(io.BytesIO(bytes(blob)), tiny_tagset(2))
+            load_model(io.BytesIO(blob), tiny_tagset(2))
 
     @pytest.mark.parametrize("members", [[1.0], ["1"], [True]])
     def test_load_rejects_class_members_patched_into_header(self, members):

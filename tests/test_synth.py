@@ -45,8 +45,7 @@ class TestGenerator:
         rng = np.random.default_rng(3)
         ts = synthetic_tagset(6)
         members = sample_class_inventory(rng, 6, 15)
-        model = sample_generator_model(rng, ts, members)
-        model.validate()
+        sample_generator_model(rng, ts, members)  # the model checks itself when built
 
     def test_corpus_ambiguity_tracks_target(self):
         rng = np.random.default_rng(5)

@@ -20,7 +20,7 @@ from hmmtagger.training import (
     train_regime,
 )
 
-from oracles import brute_em_step, brute_posterior_stats, random_instance
+from oracles import assert_stochastic, brute_em_step, brute_posterior_stats, random_instance
 from test_decoder import sample_sentence
 
 
@@ -163,7 +163,7 @@ class TestBaumWelch:
 
         def check(iteration, model, ll):
             seen.append(iteration)
-            model.validate()  # row sums within 1e-9, masked cells exactly 0
+            assert_stochastic(model)
             assert model.transition[0, 2] == 0.0
             assert model.transition[2, 2] == 0.0
 
@@ -459,7 +459,6 @@ class TestCountedInit:
         np.testing.assert_allclose(m.transition[0], [0.0, 1.0])
         np.testing.assert_allclose(m.transition[1], [1.0, 0.0])
         np.testing.assert_allclose(m.emission[0], [1.0, 0.0])
-        m.validate()
 
     def test_smoothing_floor_fills_allowed_cells(self):
         ts = tiny_tagset(2)
@@ -468,7 +467,6 @@ class TestCountedInit:
         assert m.transition[1, 0] > 0  # unseen but smoothed
         assert m.emission[0, 2] > 0  # ambiguous class is allowed for tag 0
         assert m.emission[0, 1] == 0.0  # tag 0 is not a member of class {1}
-        m.validate()
 
     def test_gold_tag_outside_class_rejected(self):
         ts = tiny_tagset(2)
@@ -481,7 +479,6 @@ class TestCountedInit:
         m = counted_init(tagged, ts, [(0,), (1,), (2,)], smoothing_floor=0.0)
         np.testing.assert_allclose(m.transition[2], np.full(3, 1 / 3))
         np.testing.assert_allclose(m.emission[2], [0, 0, 1])
-        m.validate()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
