@@ -8,8 +8,9 @@ Subcommands:
 * ``synth`` -- write a seeded synthetic benchmark (generator model, tagged
                and untagged corpora, matching tag set and lexicon).
 
-Every subcommand echoes a run manifest for reproducibility.  Exit codes:
-0 success, 1 usage problem, 2 data problem.
+Every subcommand starts with ``_start``, which checks the run's input and
+output files before any work and echoes the run manifest for
+reproducibility.  Exit codes: 0 success, 1 usage problem, 2 data problem.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -43,46 +43,51 @@ class UsageError(TaggerError):
     """Bad flags or unreadable inputs; maps to exit code 1."""
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to rerun a subcommand byte-for-byte."""
-
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage to 1
         raise UsageError(message)
 
 
-def _resolve_inputs(**paths) -> dict:
-    """Resolve and existence-check input paths before any work starts."""
-    resolved = {}
-    for name, path in paths.items():
-        if path is None:
-            continue
-        full = os.path.abspath(path)
-        if not os.path.isfile(full):
-            raise UsageError(f"--{name.replace('_', '-')}: no such file: {path}")
-        resolved[name] = full
-    return resolved
+def _start(subcommand: str, inputs: dict, outputs: dict, options: dict) -> dict:
+    """Check a run's files before any work starts; print and return its manifest.
 
-
-def _check_outputs(flag: str, *paths) -> None:
-    """Check, before any work starts, that each output path of ``flag`` can
-    be created: its directory exists and it is not a directory itself."""
-    for path in paths:
+    ``inputs`` maps names to paths, None where not given; each given path
+    must be a file.  ``outputs`` maps names to ``(flag, path)``; each path's
+    directory must exist, and the path must be no directory and no file of
+    the run named before it (hard links included).  A failed check is a
+    UsageError naming the flag.  The manifest holds the absolute paths and
+    ``options``, in sorted key order.
+    """
+    manifest = {"subcommand": subcommand, "inputs": {}, "outputs": {}, "options": options}
+    files = []  # (flag, path) of each file checked so far
+    for name, path in inputs.items():
+        if path is not None:
+            flag = f"--{name.replace('_', '-')}"
+            if not os.path.isfile(path):
+                raise UsageError(f"{flag}: no such file: {path}")
+            files.append((flag, path))
+            manifest["inputs"][name] = os.path.abspath(path)
+    for name, (flag, path) in outputs.items():
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise UsageError(f"{flag}: no such directory: {directory}")
         if os.path.isdir(path):
             raise UsageError(f"{flag}: is a directory: {path}")
+        for other_flag, other in files:
+            if _same_file(path, other):
+                raise UsageError(f"{flag}: {path} is the same file as {other_flag}")
+        files.append((flag, path))
+        manifest["outputs"][name] = os.path.abspath(path)
+    text = json.dumps(manifest, sort_keys=True)
+    print(f"manifest {text}")
+    return json.loads(text)  # in the printed key order
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them is yet to be written
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _load_resources(inputs):
@@ -103,24 +108,20 @@ def cmd_train(args) -> int:
         raise UsageError("--iters must be >= 0")
     if not 0 <= args.smoothing < np.inf:  # NaN fails too
         raise UsageError("--smoothing must be finite and >= 0")
-    inputs = _resolve_inputs(tagset=args.tagset, lexicon=args.lexicon, rules=args.rules,
-                             biases=args.biases, tagged=args.tagged, corpus=args.corpus)
+    paths = {name: getattr(args, name)
+             for name in ("tagset", "lexicon", "rules", "biases", "tagged", "corpus")}
     try:
-        iters = regime_iterations(args.regime, inputs, args.iters, as_flags=True)
+        iters = regime_iterations(args.regime, [n for n, p in paths.items() if p is not None],
+                                  args.iters, as_flags=True)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
     log_path = args.log or args.out + ".log"
-    _check_outputs("--out", args.out)
-    _check_outputs("--log" if args.log else "--out", log_path)
-    manifest = RunManifest(
-        "train",
-        inputs=inputs,
-        outputs={"model": os.path.abspath(args.out), "log": os.path.abspath(log_path)},
-        options={"regime": args.regime, "iters": iters, "smoothing": args.smoothing,
-                 "skip_impossible": args.skip_impossible},
-    )
-    print(f"manifest {manifest.to_json()}")
+    manifest = _start(
+        "train", paths,
+        {"model": ("--out", args.out), "log": ("--log" if args.log else "--out", log_path)},
+        {"regime": args.regime, "iters": iters, "smoothing": args.smoothing,
+         "skip_impossible": args.skip_impossible})
+    inputs = manifest["inputs"]
 
     ts, store, lex, rules = _load_resources(inputs)
     tagged = corpus = None
@@ -144,7 +145,7 @@ def cmd_train(args) -> int:
 
     save_model(model, args.out)
     with open(log_path, "w", encoding="utf-8") as log:
-        log.write(f"# manifest {manifest.to_json()}\n")
+        log.write(f"# manifest {json.dumps(manifest, sort_keys=True)}\n")
         log.write("# iteration\tlog_likelihood\n")
         for i, ll in enumerate(trajectory):
             log.write(f"{i}\t{ll:.6f}\n")
@@ -155,17 +156,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    inputs = _resolve_inputs(model=args.model, tagset=args.tagset,
-                             lexicon=args.lexicon, rules=args.rules, input=args.input)
-    _check_outputs("output", args.output)
-    manifest = RunManifest(
-        "tag",
-        inputs=inputs,
-        outputs={"tagged": os.path.abspath(args.output)},
-        options={"pretokenized": args.pretokenized, "with_class": args.with_class,
-                 "skip_impossible": args.skip_impossible},
-    )
-    print(f"manifest {manifest.to_json()}")
+    inputs = _start(
+        "tag", {name: getattr(args, name)
+                for name in ("model", "tagset", "lexicon", "rules", "input")},
+        {"tagged": ("output", args.output)},
+        {"pretokenized": args.pretokenized, "with_class": args.with_class,
+         "skip_impossible": args.skip_impossible})["inputs"]
 
     ts = load_tagset(inputs["tagset"])
     model = load_model(inputs["model"], ts)
@@ -201,18 +197,11 @@ def cmd_tag(args) -> int:
 def cmd_eval(args) -> int:
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
-    inputs = _resolve_inputs(pred=args.pred, gold=args.gold, tagset=args.tagset,
-                             lexicon=args.lexicon, rules=args.rules,
-                             major_classes=args.major_classes)
-    if args.json:
-        _check_outputs("--json", args.json)
-    manifest = RunManifest(
-        "eval",
-        inputs=inputs,
-        outputs={"json": os.path.abspath(args.json)} if args.json else {},
-        options={"top_k": args.top_k},
-    )
-    print(f"manifest {manifest.to_json()}")
+    manifest = _start(
+        "eval", {name: getattr(args, name) for name in
+                 ("pred", "gold", "tagset", "lexicon", "rules", "major_classes")},
+        {"json": ("--json", args.json)} if args.json else {}, {"top_k": args.top_k})
+    inputs = manifest["inputs"]
 
     ts, store, lex, rules = _load_resources(inputs)
     major = load_major_classes(inputs["major_classes"], ts)
@@ -240,7 +229,7 @@ def cmd_eval(args) -> int:
     sys.stdout.write(report.render_text())
     if args.json:
         doc = report.to_dict()
-        doc["manifest"] = json.loads(manifest.to_json())
+        doc["manifest"] = manifest
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2, ensure_ascii=False)
             f.write("\n")
@@ -253,18 +242,13 @@ def cmd_synth(args) -> int:
     if args.tokens < 1:
         raise UsageError("--tokens must be >= 1")
     prefix = args.out_prefix
-    outputs = {name: os.path.abspath(f"{prefix}.{ext}") for name, ext in
-               (("tagset", "tags"), ("lexicon", "lex"), ("rules", "rules"),
-                ("model", "model"), ("gold", "gold"), ("untagged", "txt"))}
-    _check_outputs("--out-prefix", *outputs.values())
-    manifest = RunManifest(
-        "synth",
-        outputs=outputs,
-        options={"tags": args.tags, "classes": args.classes, "tokens": args.tokens,
-                 "seed": args.seed, "ambiguity": args.ambiguity,
-                 "max_class_size": args.max_class_size},
-    )
-    print(f"manifest {manifest.to_json()}")
+    outputs = _start(
+        "synth", {},
+        {name: ("--out-prefix", f"{prefix}.{ext}") for name, ext in
+         (("tagset", "tags"), ("lexicon", "lex"), ("rules", "rules"),
+          ("model", "model"), ("gold", "gold"), ("untagged", "txt"))},
+        {"tags": args.tags, "classes": args.classes, "tokens": args.tokens, "seed": args.seed,
+         "ambiguity": args.ambiguity, "max_class_size": args.max_class_size})["outputs"]
 
     try:
         bench = synthmod.make_benchmark(

@@ -477,14 +477,15 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
     """Relative-frequency model from a tagged corpus: one re-estimation of
     ``uniform_model(ts, classes)`` from observed instead of expected counts.
 
-    ``tagged`` yields sentences of ``(tag_id, class_id)`` pairs; each token's
-    gold tag must be a member of its class, otherwise the lexicon and the
-    annotation disagree and a DataError names the offending token.  The
-    smoothing floor is added to every structurally allowed cell before
-    normalization so later re-estimation can move off observed zeros; cells
-    where the tag is not a class member stay exactly 0.  Tags never observed
-    keep the uniform rows.  ``classes`` is checked as ``uniform_model``
-    describes, and the floor as ``TrainingConfig``'s.
+    ``tagged`` yields sentences of integer ``(tag_id, class_id)`` pairs;
+    each token's gold tag must be a member of its class, otherwise the
+    lexicon and the annotation disagree and a DataError names the offending
+    token, as it does a bad id.  The smoothing floor is added to every
+    structurally allowed cell before normalization so later re-estimation
+    can move off observed zeros; cells where the tag is not a class member
+    stay exactly 0.  Tags never observed keep the uniform rows.  ``classes``
+    is checked as ``uniform_model`` describes, and the floor as
+    ``TrainingConfig``'s.
     """
     _check_floor(smoothing_floor)
     start = uniform_model(ts, classes)
@@ -495,16 +496,21 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
     for s_index, sentence in enumerate(tagged):
         prev = None
         for t_index, (tag, class_id) in enumerate(sentence):
-            if not 0 <= tag < n:
-                raise DataError(f"sentence {s_index} token {t_index}: bad tag id {tag}")
-            if not 0 <= class_id < m:
-                raise DataError(f"sentence {s_index} token {t_index}: unknown class id {class_id}")
-            if not allowed_emis[tag, class_id]:
-                labels = "+".join(ts.label(t) for t in start.class_members[class_id])
-                raise DataError(
-                    f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
-                    f"is not a member of the token's class {{{labels}}}"
-                )
+            try:
+                if not 0 <= tag < n:
+                    raise DataError(f"sentence {s_index} token {t_index}: bad tag id {tag}")
+                if not 0 <= class_id < m:
+                    raise DataError(
+                        f"sentence {s_index} token {t_index}: unknown class id {class_id}")
+                if not allowed_emis[tag, class_id]:
+                    labels = "+".join(ts.label(t) for t in start.class_members[class_id])
+                    raise DataError(
+                        f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
+                        f"is not a member of the token's class {{{labels}}}"
+                    )
+            except (IndexError, TypeError, ValueError):  # a float, bool or str id
+                raise DataError(f"sentence {s_index} token {t_index}: tag and class ids must be "
+                                f"integers, not {tag!r} and {class_id!r}") from None
             if prev is None:
                 counts.initial_counts[tag] += 1
             else:

@@ -421,6 +421,33 @@ class TestEvalCommand:
         assert code == 2
 
 
+def test_one_manifest_per_run(bench_dir, tmp_path, capsys, monkeypatch):
+    # relative paths in, absolute paths in the manifest; the train log and
+    # the eval report hold the printed manifest, keys sorted
+    monkeypatch.chdir(tmp_path)
+    p = paths(os.path.relpath(bench_dir))
+    res = ["--tagset", p["tags"], "--lexicon", p["lex"], "--rules", p["rules"]]
+    (tmp_path / "major.map").write_text(
+        "".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+
+    def printed(argv):
+        assert main(argv) == 0
+        line = capsys.readouterr().out.split("\n")[0]
+        manifest = json.loads(line.removeprefix("manifest "))
+        assert line == f"manifest {json.dumps(manifest, sort_keys=True)}"
+        files = [*manifest["inputs"].values(), *manifest["outputs"].values()]
+        assert len(files) == 7 and all(map(os.path.isabs, files))
+        return line
+
+    line = printed(["train", "--regime", "counted", *res, "--tagged", p["gold"],
+                    "--corpus", p["txt"], "--out", "m.model", "--log", "t.log"])
+    assert (tmp_path / "t.log").read_text(encoding="utf-8").split("\n")[0] == f"# {line}"
+    line = printed(["eval", "--pred", p["gold"], "--gold", p["gold"], *res,
+                    "--major-classes", "major.map", "--json", "r.json"])
+    doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert f"manifest {json.dumps(doc['manifest'])}" == line
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -456,6 +483,38 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"usage error: {flag}: ")
         assert sorted(os.walk(work)) == before  # nothing written
+
+    @pytest.mark.parametrize("case", ["tag-input", "tag-hard-link", "train-log",
+                                      "train-corpus", "eval-pred"])
+    def test_output_that_is_a_file_of_the_run_is_usage_error(self, bench_dir, trained,
+                                                             tmp_path, capsys, case):
+        p = paths(bench_dir)
+        res = ["--tagset", p["tags"], "--lexicon", p["lex"], "--rules", p["rules"]]
+        major = tmp_path / "major.map"
+        major.write_text("".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+        same = tmp_path / "same"
+        source = {"train-log": trained, "eval-pred": p["gold"]}.get(case, p["txt"])
+        with open(source, "rb") as f:
+            before = f.read()
+        same.write_bytes(before)
+        tag = ["tag", "--model", trained, *res, "--pretokenized", str(same)]
+        train = ["train", "--regime", "bias", *res, "--iters", "1"]
+        if case == "tag-hard-link":
+            os.link(same, tmp_path / "link")
+        argv, flag = {
+            "tag-input": (tag + [str(same)], "output"),
+            "tag-hard-link": (tag + [str(tmp_path / "link")], "output"),
+            "train-log": (train + ["--corpus", p["txt"], "--out", str(same), "--log", str(same)],
+                          "--log"),
+            "train-corpus": (train + ["--corpus", str(same), "--out", str(same)], "--out"),
+            "eval-pred": (["eval", "--pred", str(same), "--gold", p["gold"], *res,
+                           "--major-classes", str(major), "--json", str(same)], "--json"),
+        }[case]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"usage error: {flag}: .* is the same file as --\S+\n", err)
+        assert same.read_bytes() == before
 
     def test_impossible_sentence_is_exit_2(self, tmp_path, capsys):
         # a model with a hard prohibition; input forces the masked transition

@@ -484,6 +484,23 @@ class TestCountedInit:
         with pytest.raises(DataError):
             counted_init([], tiny_tagset(1), [(0,)])
 
+    @pytest.mark.parametrize("pair, message", [
+        ((2, 0), "bad tag id 2"),
+        ((0, 3), "unknown class id 3"),
+        ((1.0, 1), "tag and class ids must be integers, not 1.0 and 1"),
+        ((0, 1.0), "tag and class ids must be integers, not 0 and 1.0"),
+        ((np.float64(0), 0), "tag and class ids must be integers, not "),
+        ((True, 1), "tag and class ids must be integers, not True and 1"),
+        ((0, np.True_), "tag and class ids must be integers, not 0 and "),
+        (("T0", 0), "tag and class ids must be integers, not 'T0' and 0"),
+    ])
+    def test_bad_token_named_by_position(self, pair, message):
+        # the second token of the second sentence
+        tagged = [[(0, 0), (1, 1)], [(0, 0), pair]]
+        with pytest.raises(DataError) as error:
+            counted_init(tagged, tiny_tagset(2), [(0,), (1,), (0, 1)])
+        assert str(error.value).startswith(f"sentence 1 token 1: {message}")
+
     @pytest.mark.parametrize("floor", [float("nan"), -1.0, float("inf")])
     def test_bad_smoothing_floor_rejected(self, floor):
         with pytest.raises(ValueError, match="smoothing_floor must be finite and >= 0"):
