@@ -90,17 +90,27 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _load_resources(inputs):
-    ts = load_tagset(inputs["tagset"])
-    store = ClassStore()
+def _load_resources(inputs, ts, store):
+    """Load the run's lexicon and guesser rules into ``store``; return the
+    function from a sentence's words to their class ids.
+
+    A form the lexicon lacks goes through ``classify`` once per run and
+    joins the run's lexicon with the class guessed for it, so its repeats
+    are looked up as lexicon entries are.
+    """
     lex = load_lexicon(inputs["lexicon"], ts, store)
     rules = load_guesser_rules(inputs["rules"], ts, store)
-    return ts, store, lex, rules
 
+    def classes_of(words) -> np.ndarray:
+        ids = []
+        for word in words:
+            class_id = lex.get(word)
+            if class_id is None:
+                class_id = lex[word] = classify(lex, rules, word)
+            ids.append(class_id)
+        return np.array(ids, dtype=np.intp)
 
-def _classes(lex, rules, words) -> np.ndarray:
-    """The class ids of a sentence's words."""
-    return np.array([classify(lex, rules, w) for w in words], dtype=np.intp)
+    return classes_of
 
 
 def cmd_train(args) -> int:
@@ -123,16 +133,17 @@ def cmd_train(args) -> int:
          "skip_impossible": args.skip_impossible})
     inputs = manifest["inputs"]
 
-    ts, store, lex, rules = _load_resources(inputs)
+    ts, store = load_tagset(inputs["tagset"]), ClassStore()
+    classes_of = _load_resources(inputs, ts, store)
     tagged = corpus = None
     if "tagged" in inputs:
         # one (tag, class) iterator per sentence: counted_init reads each once
         tagged = []
         for sentence in read_tagged(inputs["tagged"], ts):
             words, tags, *_signature = zip(*sentence)
-            tagged.append(zip(tags, _classes(lex, rules, words)))
+            tagged.append(zip(tags, classes_of(words)))
     if "corpus" in inputs:
-        corpus = [_classes(lex, rules, s) for s in read_pretokenized(inputs["corpus"])]
+        corpus = [classes_of(s) for s in read_pretokenized(inputs["corpus"])]
 
     biases = load_biases(inputs["biases"], ts) if "biases" in inputs else None
     model, trajectory, skipped = train_regime(
@@ -166,8 +177,7 @@ def cmd_tag(args) -> int:
     ts = load_tagset(inputs["tagset"])
     model = load_model(inputs["model"], ts)
     store = ClassStore.from_members(model.class_members)
-    lex = load_lexicon(inputs["lexicon"], ts, store)
-    rules = load_guesser_rules(inputs["rules"], ts, store)
+    classes_of = _load_resources(inputs, ts, store)
 
     reader = read_pretokenized if args.pretokenized else tokenize_raw
     signatures = class_signatures(ts, store) if args.with_class else None
@@ -175,7 +185,7 @@ def cmd_tag(args) -> int:
 
     def tagged():  # decoded sentences, as write_tagged rows, in input order
         for first, chunk in chunks(reader(inputs["input"]), model.max_class_size):
-            classes = [_classes(lex, rules, words) for words in chunk]
+            classes = [classes_of(words) for words in chunk]
             for i, result in enumerate(decode(model, classes)):
                 if isinstance(result, DataError):
                     if not args.skip_impossible:
@@ -203,7 +213,8 @@ def cmd_eval(args) -> int:
         {"json": ("--json", args.json)} if args.json else {}, {"top_k": args.top_k})
     inputs = manifest["inputs"]
 
-    ts, store, lex, rules = _load_resources(inputs)
+    ts, store = load_tagset(inputs["tagset"]), ClassStore()
+    classes_of = _load_resources(inputs, ts, store)
     major = load_major_classes(inputs["major_classes"], ts)
     pred, gold, classes = [], [], []
     pred_sents, gold_sents = read_tagged(inputs["pred"], ts), read_tagged(inputs["gold"], ts)
@@ -224,7 +235,7 @@ def cmd_eval(args) -> int:
                                      sentence_index=i)
         pred.append(p_tags)
         gold.append(g_tags)
-        classes.append(_classes(lex, rules, g_words))
+        classes.append(classes_of(g_words))
     report = profile_report(pred, gold, classes, store, ts, major, top_k=args.top_k)
     sys.stdout.write(report.render_text())
     if args.json:

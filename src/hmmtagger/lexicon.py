@@ -8,7 +8,9 @@ Lexicon file format (a config file, see ``tagset.config_lines``):
 
     wordform<TAB>TAG1 TAG2 ...
 
-Duplicate word lines merge by set union of their tags.
+Duplicate word lines merge by set union of their tags, and class ids follow
+each word's first appearance.  Each distinct tag string is parsed once.  The
+``hmmtagger`` commands classify each distinct surface form once per run.
 
 Guesser rules file format (a config file too):
 
@@ -92,18 +94,33 @@ def load_lexicon(source, ts: TagSet, store: ClassStore) -> dict[str, int]:
     """Load a lexicon from a path or file object as a case-sensitive word
     form -> class id map, interning each class into ``store``, which guesser
     rules or a previously loaded model may share.
+
+    Lines of one word merge by set union.  Class ids follow each word's
+    first appearance: a class new to ``store`` is interned at the first
+    word, in file order, whose merged tags it is.  A malformed line raises
+    ConfigError naming it; a bad tag string names its first line.
     """
-    members_by_word: dict[str, set[int]] = {}
+    # Most lines share a few hundred tag strings: each is parsed and checked
+    # once, and words share its member set until they merge.
+    members_by_tags: dict[str, frozenset[int]] = {}
+    members_by_word: dict[str, frozenset[int]] = {}
     for lineno, line in config_lines(source):
         word, sep, rest = line.partition("\t")
-        if not sep or not word:
-            raise ConfigError(f"line {lineno}: expected wordform<TAB>TAG...")
-        labels = rest.split()
-        if not labels:
-            raise ConfigError(f"line {lineno}: no tags given for {word!r}")
-        ids = _parse_tag_labels(labels, ts, lineno)
-        members_by_word.setdefault(word, set()).update(ids)
-    return {word: store.intern(members) for word, members in members_by_word.items()}
+        members = members_by_tags.get(rest)
+        if members is None or not word:  # a new tag string, or a bad line
+            if not sep or not word:
+                raise ConfigError(f"line {lineno}: expected wordform<TAB>TAG...")
+            labels = rest.split()
+            if not labels:
+                raise ConfigError(f"line {lineno}: no tags given for {word!r}")
+            members = members_by_tags[rest] = frozenset(_parse_tag_labels(labels, ts, lineno))
+        first = members_by_word.setdefault(word, members)
+        if first is not members:
+            members_by_word[word] = first | members
+    class_ids = dict.fromkeys(members_by_word.values())
+    for members in class_ids:
+        class_ids[members] = store.intern(members)
+    return {word: class_ids[members] for word, members in members_by_word.items()}
 
 
 CASE_UPPER = "U"

@@ -502,7 +502,10 @@ def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classe
                 if not 0 <= class_id < m:
                     raise DataError(
                         f"sentence {s_index} token {t_index}: unknown class id {class_id}")
-                if not allowed_emis[tag, class_id]:
+                allowed = allowed_emis[tag, class_id]
+                if allowed is not np.True_:
+                    if allowed is not np.False_:  # a bool id adds an axis, not a cell
+                        raise TypeError
                     labels = "+".join(ts.label(t) for t in start.class_members[class_id])
                     raise DataError(
                         f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "

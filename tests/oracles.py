@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the dynamic-programming algorithms.
+"""Independent brute-force oracles for the dynamic-programming algorithms,
+and the plain lexicon loader that the fast one must agree with.
 
 Everything here enumerates paths explicitly and never calls the code under
 test.  Floating-point additions are accumulated left to right, position by
@@ -10,6 +11,9 @@ import itertools
 import math
 
 import numpy as np
+
+from hmmtagger.errors import ConfigError
+from hmmtagger.tagset import config_lines
 
 
 def log_or_neginf(x: float) -> float:
@@ -192,3 +196,24 @@ def random_instance(rng, max_tags=5, max_len=8, max_class_size=3,
     length = int(rng.integers(1, max_len + 1))
     seq = [int(rng.integers(len(classes))) for _ in range(length)]
     return model, seq
+
+
+def plain_load_lexicon(source, ts, store):
+    """``lexicon.load_lexicon`` line by line: each line's tags parsed and
+    checked on their own, one set per word that later lines of the word
+    join, and each word's set interned into ``store`` in the order of the
+    words' first lines.  Raises the same ConfigError for the same line."""
+    members_by_word = {}
+    for lineno, line in config_lines(source):
+        word, sep, rest = line.partition("\t")
+        if not sep or not word:
+            raise ConfigError(f"line {lineno}: expected wordform<TAB>TAG...")
+        labels = rest.split()
+        if not labels:
+            raise ConfigError(f"line {lineno}: no tags given for {word!r}")
+        for label in labels:
+            tag = ts.tag_id(label)
+            if tag is None:
+                raise ConfigError(f"line {lineno}: unknown tag label {label!r}")
+            members_by_word.setdefault(word, set()).add(tag)
+    return {word: store.intern(members) for word, members in members_by_word.items()}

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from hmmtagger import cli
 from hmmtagger.cli import main
 from hmmtagger.corpusio import class_signatures, read_tagged, write_tagged
-from hmmtagger.lexicon import ClassStore, load_lexicon
+from hmmtagger.lexicon import (ClassStore, classify, default_lexicon_text, default_rules_text,
+                               load_lexicon)
 from hmmtagger.model import load_model
 from hmmtagger.synth import make_benchmark
 from hmmtagger.tagset import load_tagset
@@ -446,6 +448,39 @@ def test_one_manifest_per_run(bench_dir, tmp_path, capsys, monkeypatch):
                     "--major-classes", "major.map", "--json", "r.json"])
     doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     assert f"manifest {json.dumps(doc['manifest'])}" == line
+
+
+def test_run_classification_equals_classify_per_token(german_resources, tmp_path, monkeypatch):
+    elwis, ref_store, lex, rules = german_resources
+    guessed = []  # the forms the run sends to the guesser
+
+    def counting_classify(run_lex, run_rules, word):
+        guessed.append(word)
+        return classify(run_lex, run_rules, word)
+
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    (tmp_path / "de.lex").write_text(default_lexicon_text(), encoding="utf-8")
+    (tmp_path / "de.rules").write_text(default_rules_text(), encoding="utf-8")
+    store = ClassStore()
+    classes_of = cli._load_resources(
+        {"lexicon": str(tmp_path / "de.lex"), "rules": str(tmp_path / "de.rules")}, elwis, store)
+    assert list(store) == list(ref_store)
+    known = [line.split("\t")[0] for line in default_lexicon_text().splitlines()
+             if line and not line.startswith("#")]
+    rng = np.random.default_rng(5)
+    alphabet = "aäbdeinrstuzAÄBDEINRSTUZ0123456789.,-%$"
+    unknown = ["".join(rng.choice(list(alphabet), size=rng.integers(1, 8))) for _ in range(60)]
+    pool = [w for words in (known, unknown) for w in words + [w.swapcase() for w in words]]
+    sentences = [known] + [[pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 15))]
+                           for _ in range(200)]  # most forms repeat, within and across
+    for words in sentences:
+        got = classes_of(words)
+        assert got.dtype == np.intp
+        assert got.tolist() == [classify(lex, rules, w) for w in words]
+    assert sorted(guessed) == sorted({w for words in sentences for w in words if w not in lex})
+    for _ in range(2):  # an empty word is never remembered
+        with pytest.raises(ValueError, match="empty word"):
+            classes_of(["die", ""])
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmmtagger.errors import ConfigError
 from hmmtagger.lexicon import (
@@ -12,6 +13,7 @@ from hmmtagger.lexicon import (
     load_lexicon,
 )
 from hmmtagger.tagset import load_tagset
+from oracles import plain_load_lexicon
 
 
 def labels_of(store, ts, class_id):
@@ -55,9 +57,63 @@ class TestLexiconLoading:
         with pytest.raises(ConfigError):
             load_lex("foo KON\n", elwis, ClassStore())
 
+    @pytest.mark.parametrize("text, message", [
+        # a bad tag string is named at its first line, not where it repeats
+        ("und\tKON\nfoo\tNN NOPE\nbar\tNN NOPE\n", "line 2: unknown tag label 'NOPE'"),
+        ("und\tKON\nfoo\t \t\nbar\t \t\n", "line 2: no tags given for 'foo'"),
+        ("und\tKON\nfoo\n", "line 2: expected wordform<TAB>TAG..."),
+        # no word before a tag string that an earlier line had
+        ("und\tKON\n\tKON\n", "line 2: expected wordform<TAB>TAG..."),
+        ("# comment\r\n\r\nund\tKON\r\nfoo\tNOPE\r\n", "line 4: unknown tag label 'NOPE'"),
+    ])
+    def test_error_names_the_line(self, elwis, text, message):
+        for load in (load_lexicon, plain_load_lexicon):
+            with pytest.raises(ConfigError) as error:
+                load(io.StringIO(text), elwis, ClassStore())
+            assert str(error.value) == message
+
     def test_interning_across_words(self, elwis):
         lex = load_lex("die\tART PROS PRELS\nder\tPRELS PROS ART\n", elwis, ClassStore())
         assert lex["die"] == lex["der"]
+
+
+_WORDS = ["die", "Die", "der", "geladen", "Zeitung", "x y", "1997"]
+_LABELS = ["ART", "PROS", "PRELS", "NN", "NE", "VFIN", "VPP", "ADJD"]
+
+
+@st.composite
+def _lexicon_texts(draw):
+    """A lexicon's text: entries of a few words, repeated and merged, their
+    tags in any order and spacing, between comments and blank lines, with
+    LF or CRLF endings."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["entry", "entry", "entry", "comment", "blank"]))
+        if kind == "entry":
+            labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=4))
+            spaces = st.sampled_from(["", " ", "  ", "\t"])
+            gaps = [draw(st.sampled_from([" ", "  ", "\t", " \t"])) for _ in labels[1:]]
+            tags = labels[0] + "".join(gap + label for gap, label in zip(gaps, labels[1:]))
+            line = f"{draw(st.sampled_from(_WORDS))}\t{draw(spaces)}{tags}{draw(spaces)}"
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# die\tNN", "  #", "#"]))
+        else:
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_lexicon_texts(), st.lists(st.sets(st.integers(0, 5), min_size=1), max_size=4))
+def test_load_lexicon_matches_the_plain_loader(elwis, text, seeds):
+    # ``seeds`` stands for a model's class inventory, which ``tag`` interns first
+    inventory = list(dict.fromkeys(tuple(sorted(s)) for s in seeds))
+    got_store, want_store = ClassStore.from_members(inventory), ClassStore.from_members(inventory)
+    data = text.encode("utf-8")
+    got = load_lexicon(io.BytesIO(data), elwis, got_store)
+    want = plain_load_lexicon(io.BytesIO(data), elwis, want_store)
+    assert list(got.items()) == list(want.items())
+    assert list(got_store) == list(want_store)
 
 
 class TestLookup:

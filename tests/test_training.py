@@ -501,6 +501,15 @@ class TestCountedInit:
             counted_init(tagged, tiny_tagset(2), [(0,), (1,), (0, 1)])
         assert str(error.value).startswith(f"sentence 1 token 1: {message}")
 
+    @pytest.mark.parametrize("pair", [(True, 0), (np.True_, 0), (0, True), (0, np.True_)])
+    def test_bool_id_rejected(self, pair):
+        # a bool passes the range checks; as a tag with one class of both
+        # tags, the mask cells it selects are all allowed, so it was counted
+        classes = [(0, 1)] if pair[1] == 0 else [(0, 1), (0,)]
+        with pytest.raises(DataError, match="^sentence 0 token 0: tag and class ids must be "
+                                            "integers, not "):
+            counted_init([[pair]], tiny_tagset(2), classes, 0.0)
+
     @pytest.mark.parametrize("floor", [float("nan"), -1.0, float("inf")])
     def test_bad_smoothing_floor_rejected(self, floor):
         with pytest.raises(ValueError, match="smoothing_floor must be finite and >= 0"):
