@@ -157,6 +157,15 @@ class HmmModel:
 # whatever the corpus size; a sentence with more cells is a chunk by itself.
 CHUNK_CELLS = 2 ** 15
 
+# The E-step and the decoder cut each sentence longer than SEGMENT + 1 tokens
+# into segments of SEGMENT transitions (L), in a chunk whose longest sentence
+# has more than SCAN_FROM tokens (``pack_chunk``).  Their segment scans run
+# about 3 L + 2 S (E-step) and 4 L + 2 S (decoder) steps of the Python loop
+# for sentences of S segments, in place of two per position; the E-step's
+# lost to them up to about 3 L tokens (one such sentence among 60 of 5-30).
+SEGMENT = 64
+SCAN_FROM = 4 * SEGMENT
+
 
 def chunks(sentences: Iterable, width: int):
     """Yield ``(index of the first sentence, sentences)`` for runs of
@@ -197,8 +206,9 @@ class Packed(NamedTuple):
     segment ``j`` holds positions ``j * span`` to ``(j + 1) * span``, so
     consecutive segments share a position, whose token has a row in each.
     ``order`` and ``start`` then name each segment's sentence and first
-    position, and ``rows`` follows the segments in chunk order.  Without a
-    ``span``, every sentence is one segment and ``start`` is 0.
+    position, and ``rows`` gives a shared position the row that ends the
+    earlier segment.  Without a ``span``, every sentence is one segment and
+    ``start`` is 0.
     """
 
     order: np.ndarray
@@ -223,6 +233,30 @@ class Packed(NamedTuple):
         found, first = np.unique(sentence[by], return_index=True)
         return {i: ImpossibleSequenceError.dying_at(p, i)
                 for i, p in zip(found.tolist(), position[by][first].tolist())}
+
+    def sentence_lengths(self) -> np.ndarray:
+        """The tokens of each chunk sentence, 0 for an invalid one."""
+        return np.bincount(self.order, self.lengths - (self.start > 0)).astype(np.intp)
+
+    def segments(self):
+        """The bookkeeping that the segment scans of both semirings share.
+
+        Returns ``(cut, running, by, at)``: ``cut`` holds the ranks of the
+        segments of the sentences cut into several, by decreasing length,
+        and ``running[t]`` how many of them run at position ``t``, a prefix.
+        ``cut[by]`` orders them by their index in their sentence, then by
+        sentence, those with the most segments first, so that the sentences
+        with a segment ``j + 1`` are a prefix of those with a segment ``j``;
+        the segments ``j`` are ``cut[by][at[j]:at[j + 1]]``.  Every segment
+        but a sentence's last has ``T - 1`` transitions.
+        """
+        T = self.live.size
+        count = np.bincount(self.order)[self.order]  # segments of each segment's sentence
+        cut = np.flatnonzero(count > 1)
+        running = np.searchsorted(-self.lengths[cut], -np.arange(T), side="left").tolist()
+        index = self.start[cut] // (T - 1)
+        by = np.lexsort((self.order[cut], -count[cut], index))
+        return cut, running, by, np.cumsum([0, *np.bincount(index)]).tolist()
 
 
 def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
@@ -278,9 +312,21 @@ def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
     rows = offsets[position] + rank[owner]
     ids = np.empty(flat.size, dtype=np.intp)
     ids[rows] = flat
+    if span:  # a shared position keeps the row that ends its earlier segment
+        rows = rows[(position > 0) | (start[owner] == 0)]
     prev = np.arange(offsets[min(T, 1)], flat.size) - np.repeat(live[:-1], live[1:])
     return Packed(sentence[order], sorted_lengths, start[order], live, offsets, rows, ids, prev,
                   errors)
+
+
+def pack_chunk(model: HmmModel, sentences) -> Packed:
+    """``pack`` for the kernels: in segments of ``SEGMENT`` transitions where
+    the chunk's longest sentence has more than ``SCAN_FROM`` tokens."""
+    try:
+        longest = max(map(len, sentences), default=0)
+    except TypeError:  # a sentence without a length, which ``pack`` reports
+        longest = 0
+    return pack(model, sentences, SEGMENT if longest > SCAN_FROM else None)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -30,21 +30,23 @@ The member kernel keeps one cell per member slot of each token's class
 dense kernel keeps one per tag.  ``e_step_kernel`` states the rule that
 picks one: the member kernel wherever ``K * K < n_tags``.
 
-A chunk whose longest sentence has more than ``SCAN_FROM`` (256) tokens
-runs as a two-level scan (Hassan, Särkkä and García-Fernández 2021, in its
-sequential-segment form), over the member kernel whatever the rule.  Each
-of its sentences longer than ``L + 1`` tokens (``L = SEGMENT``, 64) is cut
-into segments of ``L`` transitions that share their end positions, and
-``pack`` lays the segments out as it lays out sentences.  The scan
-multiplies each segment's ``K x K`` transfer matrices (the transitions into
-a position times its emissions) for all segments at once, one position at
-a time; steps alpha and beta across the segment boundaries through those
-products, for all sentences at once; and then fills alpha and beta inside
-every segment at once, with the sequential recursions above.  A sentence
-of ``T`` tokens then costs about ``3 L + 2 T / L`` steps of the Python loop
-instead of ``2 T``.  Beyond the sequential E-step's arrays the scan keeps
-the ``(segments, K, K)`` products and one more row per segment, about 1/16
-and 1/64 of a per-token array at ``K`` = 4.
+A chunk whose longest sentence has more than ``model.SCAN_FROM`` (256)
+tokens runs as a two-level scan (Hassan, Särkkä and García-Fernández 2021,
+in its sequential-segment form), over the member kernel whatever the rule.
+Each of its sentences longer than ``L + 1`` tokens (``L = model.SEGMENT``,
+64) is cut into segments of ``L`` transitions that share their end
+positions, and ``model.pack_chunk`` lays the segments out as it lays out
+sentences; the decoder scans the same segments in the max-plus semiring.
+The scan multiplies each segment's ``K x K`` transfer matrices (the
+transitions into a position times its emissions) for all segments at
+once, one position at a time; steps alpha and beta across the segment
+boundaries through those products, for all sentences at once; and then
+fills alpha and beta inside every segment at once, with the sequential
+recursions above.  A sentence of ``T`` tokens then costs about
+``3 L + 2 T / L`` steps of the Python loop instead of ``2 T``.  Beyond the
+sequential E-step's arrays the scan keeps the ``(segments, K, K)`` products
+and one more row per segment, about 1/16 and 1/64 of a per-token array at
+``K`` = 4.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .model import BiasSet, HmmModel, Packed, apply_biases, chunks, pack, uniform_model
+from .model import BiasSet, HmmModel, Packed, apply_biases, chunks, pack_chunk, uniform_model
 from .tagset import TagSet
 
 REGIME_BIAS = "bias"
@@ -67,13 +69,6 @@ DEFAULT_ITERATIONS = {REGIME_BIAS: 20, REGIME_COUNTED: 1, REGIME_COUNTED_ONLY: 0
 # the inputs each regime needs; only ``bias`` also takes biases
 REGIME_NEEDS = {REGIME_BIAS: ("corpus",), REGIME_COUNTED: ("tagged", "corpus"),
                 REGIME_COUNTED_ONLY: ("tagged",)}
-# The E-step cuts each sentence longer than SEGMENT + 1 tokens into segments
-# of SEGMENT transitions (L), in a chunk whose longest sentence has more than
-# SCAN_FROM tokens.  The boundary scan runs about 3 L + 2 S steps of the
-# Python loop for sentences of S segments, in place of two per position; it
-# lost to them up to about 3 L tokens (one such sentence among 60 of 5-30).
-SEGMENT = 64
-SCAN_FROM = 4 * SEGMENT
 
 
 @dataclass
@@ -319,24 +314,16 @@ def _scan_boundaries(kernel, packed: Packed, alpha, beta) -> None:
     both are scaled as the sequential recursions scale them.  A dead
     sentence can get NaN here, in its own rows only.
     """
-    offsets, B, T = packed.offsets, int(packed.live[0]), packed.live.size
-    count = np.bincount(packed.order)[packed.order]  # segments of each segment's sentence
-    cut = np.flatnonzero(count > 1)  # ranks, by decreasing length
-    running = np.searchsorted(-packed.lengths[cut], -np.arange(T), side="left").tolist()
+    offsets, B = packed.offsets, int(packed.live[0])
+    cut, running, by, at = packed.segments()  # segments j: rank[at[j]:at[j + 1]]
     product = kernel.transfer(offsets[1] - B + cut)  # each segment has a row at t = 1
     product /= product.max(axis=(1, 2), keepdims=True)
-    for t in range(2, T):
+    for t in range(2, len(running)):
         p = product[:running[t]]
         np.matmul(p, kernel.transfer(offsets[t] - B + cut[:p.shape[0]]), out=p)
         p /= p.max(axis=(1, 2), keepdims=True)
 
-    # The cut segments by index in their sentence, then longest sentence
-    # first: the sentences with a segment j + 1 are a prefix of those with a
-    # segment j.  Every segment but a sentence's last has T - 1 transitions.
-    index = packed.start[cut] // (T - 1)
-    by = np.lexsort((packed.order[cut], -count[cut], index))
     product, rank = product[by], cut[by]
-    at = np.cumsum([0, *np.bincount(index)]).tolist()  # segments j: at[j] to at[j + 1]
     total = np.empty((rank.size, 1))  # the sum that scales alpha after each segment
     a = alpha[rank[:at[1]]]
     for j in range(len(at) - 1):
@@ -354,16 +341,6 @@ def _scan_boundaries(kernel, packed: Packed, alpha, beta) -> None:
         beta[offsets[packed.lengths[before] - 1] + before] = b[:hi - lo]
 
 
-def _pack(model: HmmModel, sentences) -> Packed:
-    """``pack`` for the E-step, in segments of ``SEGMENT`` transitions where
-    a sentence has more than ``SCAN_FROM`` tokens."""
-    try:
-        longest = max(map(len, sentences), default=0)
-    except TypeError:  # a sentence without a length, which ``pack`` reports
-        longest = 0
-    return pack(model, sentences, SEGMENT if longest > SCAN_FROM else None)
-
-
 def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStats:
     """Expected initial/transition/emission counts for one sentence.
 
@@ -375,7 +352,7 @@ def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStat
     naming the first dead position, when no tag path has positive
     probability.
     """
-    packed = _pack(model, [sentence])
+    packed = pack_chunk(model, [sentence])
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
     failures = packed.errors or _add_expected_counts(model, packed, stats)
     if failures:
@@ -430,7 +407,7 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     n_sentences = 0
     skipped: list[int] = []
     for first, chunk in chunks(corpus, e_step_kernel(model)[1]):
-        packed = _pack(model, chunk)
+        packed = pack_chunk(model, chunk)
         dead = _add_expected_counts(model, packed, stats)
         failures = packed.errors if skip_impossible else {**packed.errors, **dead}
         if failures:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hmmtagger import model as model_module, training
+from hmmtagger import decoder, model as model_module
 from hmmtagger.decoder import Decoding, decode, viterbi
 from hmmtagger.errors import DataError, ImpossibleSequenceError
 from hmmtagger.lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
@@ -426,9 +426,141 @@ def test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeyp
         assert n_dead >= 500
 
 
+def scanning(monkeypatch, span):
+    """Make the E-step and the decoder cut every sentence longer than
+    ``span + 1`` tokens into segments of ``span`` transitions."""
+    monkeypatch.setattr(model_module, "SEGMENT", span)
+    monkeypatch.setattr(model_module, "SCAN_FROM", span + 1)
+
+
 def test_the_segment_scan_names_the_same_impossible_sentences(monkeypatch):
-    # the E-step cuts every sentence longer than 3 tokens into segments of 2
-    # transitions
-    monkeypatch.setattr(training, "SEGMENT", 2)
-    monkeypatch.setattr(training, "SCAN_FROM", 3)
-    test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeypatch)
+    for span in (2, 3):
+        scanning(monkeypatch, span)
+        test_viterbi_and_forward_backward_name_the_same_impossible_sentences(monkeypatch)
+
+
+class TestScanAgainstDenseDecoder(TestAgainstDenseDecoder):
+    """The same comparisons, with every sentence of more than L + 1 tokens
+    decoded by the segment scan (``model.SEGMENT``, L)."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["L=2", "L=3"])
+    def span(self, request, monkeypatch):
+        scanning(monkeypatch, request.param)
+
+
+@pytest.fixture()
+def fallbacks(monkeypatch):
+    """The number of sentences in each call of the sequential kernel; in a
+    chunk that the scan decodes, the sentences it did not settle."""
+    calls = []
+    kernel = decoder._decode_packed
+
+    def counted(tables, packed):
+        calls.append(int(packed.live[0]))
+        return kernel(tables, packed)
+
+    monkeypatch.setattr(decoder, "_decode_packed", counted)
+    return calls
+
+
+def sequential(model, sentences):
+    """``decode`` by the sequential kernel alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "SCAN_FROM", 10 ** 9)
+        return decode(model, sentences)
+
+
+def assert_same(got, want):
+    """Equal tags, bit-equal log-probabilities, and the same errors."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, Decoding):
+            assert g.tags == w.tags
+            assert np.float64(g.log_prob).tobytes() == np.float64(w.log_prob).tobytes()
+        else:
+            assert (str(g), g.sentence_index) == (str(w), w.sentence_index)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A continuous generator, of 44 tags in 300 classes of up to 4, and
+    30,000 tokens it emitted."""
+    from hmmtagger.synth import make_benchmark
+
+    bench = make_benchmark(seed=5, n_tags=44, n_classes=300, train_tokens=30_000,
+                           tagged_tokens=0, heldout_tokens=0)
+    return bench.generator, [c for sentence in bench.train_untagged for c in sentence]
+
+
+class TestCertificate:
+    """The scan's path stands only where the certificate settles it; every
+    other sentence is decoded again by the sequential kernel."""
+
+    def test_exact_ties_fail_and_decode_as_today(self, monkeypatch, fallbacks):
+        scanning(monkeypatch, 2)
+        # one class holds every tag, so every decision is a tie
+        model = uniform_model(tiny_tagset(4), [(0, 1, 2, 3)])
+        corpus = [[0] * length for length in range(1, 12)]
+        want = sequential(model, corpus)
+        fallbacks.clear()
+        assert_same(decode(model, corpus), want)
+        assert fallbacks == [8]  # the sentences of 4 to 11 tokens, the ones cut
+        # coarse probabilities: some paths tie, others do not
+        rng = np.random.default_rng(5)
+        redone = cut = 0
+        for _ in range(40):
+            model = tied_model(rng)
+            corpus = [sample_sentence(rng, model, int(rng.integers(1, 30))) for _ in range(20)]
+            want = sequential(model, corpus)
+            fallbacks.clear()
+            assert_same(decode(model, corpus), want)
+            redone += sum(fallbacks)
+            cut += sum(len(sentence) > 3 for sentence in corpus)
+        assert 0 < redone < cut
+
+    def test_a_continuous_model_settles_every_path(self, monkeypatch, fallbacks, wide):
+        model, tokens = wide
+        ends = np.cumsum([300, 2_000, 66, 700, 5, 1_500, 257, 129, 65])
+        corpus = [tokens[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+        want = sequential(model, corpus)
+        assert all(isinstance(w, Decoding) for w in want)
+        fallbacks.clear()
+        for span in (2, 3, model_module.SEGMENT):
+            scanning(monkeypatch, span)
+            assert_same(decode(model, corpus), want)
+        assert fallbacks == []
+
+    def test_one_long_sentence_decodes_as_the_sequential_kernel(self, fallbacks, wide):
+        model, tokens = wide
+        sentence = tokens[:20_000]
+        want = sequential(model, [sentence])
+        fallbacks.clear()
+        assert_same(decode(model, [sentence]), want)
+        assert fallbacks == []
+
+    def test_the_scanned_scores_are_within_the_bound(self, wide):
+        model, tokens = wide
+        sentence, tables = tokens[:20_000], model.member_tables()
+        cut = model_module.pack(model, [sentence], model_module.SEGMENT)
+        plain = model_module.pack(model, [sentence])
+        # every slot score but the last token's, which holds the path's
+        scanned = decoder._scan_packed(tables, cut)[1][cut.rows[:-1]]
+        exact = decoder._decode_packed(tables, plain)[1][plain.rows[:-1]]
+        n = 2 * len(sentence) + 1
+        g = 2 * n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        live = exact > -np.inf
+        assert (live == (scanned > -np.inf)).all()
+        assert (np.abs(scanned[live] - exact[live]) <= g * np.abs(exact[live])).all()
+        assert (scanned != exact).any()  # the scan sums in another order
+
+    @pytest.mark.parametrize("length", [100, 20_000])
+    def test_the_margin_must_exceed_twice_the_bound(self, length):
+        n = 2 * length + 1
+        g = 2 * n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        runner_up = np.array([-1.0, -1234.5, -8e4])
+        margin = 2 * g * np.abs(runner_up)
+        assert decoder._settled(runner_up + 1.05 * margin, runner_up, length).all()
+        assert not decoder._settled(runner_up + 0.95 * margin, runner_up, length).any()
+        assert not decoder._settled(runner_up, runner_up, length).any()  # an exact tie
+        assert decoder._settled(np.array([-5.0]), np.array([-np.inf]), length).all()

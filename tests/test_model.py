@@ -411,6 +411,11 @@ def test_pack_cuts_the_sentences_longer_than_span_plus_one(sentences, span):
            for r, length in enumerate(packed.lengths.tolist()) if length]
     assert sorted(got) == sorted(want)
     assert packed.lengths.tolist() == sorted(packed.lengths.tolist(), reverse=True)
+    # one row per token, in chunk order: a shared position keeps the row that
+    # ends its earlier segment, not the first row (its rank) of the later one
+    assert packed.ids[packed.rows].tolist() == [c for s in sentences for c in s]
+    assert not np.isin(np.flatnonzero(packed.start > 0), packed.rows).any()
+    assert packed.sentence_lengths().tolist() == list(map(len, sentences))
 
 
 @pytest.mark.parametrize("sentence, message", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmmtagger.errors import ConfigError, DataError, ImpossibleSequenceError
-from hmmtagger import model as model_module, training
+from hmmtagger import model as model_module
 from hmmtagger.model import (BiasSet, TransitionBias, apply_biases, chunks, membership_mask,
                              uniform_model)
 from hmmtagger.tagset import Tag, TagSet
@@ -372,13 +372,13 @@ class TestPackedEStep:
 
 
 class TestSegmentScan:
-    """The E-step cut into segments (``training.SEGMENT``, L), here wherever
+    """The E-step cut into segments (``model.SEGMENT``, L), here wherever
     a sentence has more than L + 1 tokens."""
 
     @pytest.fixture(params=[2, 3], ids=["L=2", "L=3"])
     def span(self, request, monkeypatch):
-        monkeypatch.setattr(training, "SEGMENT", request.param)
-        monkeypatch.setattr(training, "SCAN_FROM", request.param + 1)
+        monkeypatch.setattr(model_module, "SEGMENT", request.param)
+        monkeypatch.setattr(model_module, "SCAN_FROM", request.param + 1)
         return request.param
 
     @pytest.mark.parametrize("rule", ["dense", "member"])
@@ -407,8 +407,8 @@ class TestSegmentScan:
             assert not stats.emission_counts[~model.allowed_emission_mask()].any()
 
     def test_dead_sentences_are_skipped_cleanly(self, monkeypatch):
-        monkeypatch.setattr(training, "SEGMENT", 2)
-        monkeypatch.setattr(training, "SCAN_FROM", 3)
+        monkeypatch.setattr(model_module, "SEGMENT", 2)
+        monkeypatch.setattr(model_module, "SCAN_FROM", 3)
         model = prohibited_model(3, seed=1)  # classes 0-2 are tags 0-2, 4 is every tag
         # Segments hold positions 0-2, 2-4, 4-6 and 6-8.  The prohibited 0 -> 1
         # kills these at 3, inside a segment, and at 4 and 2, where a segment
@@ -441,7 +441,7 @@ class TestSegmentScan:
         ends = np.cumsum([2_000, 1, 65, 66, 300, 2, 129, 130, 257, 700] * 3)
         corpus = [tokens[a:b] for a, b in zip([0, *ends[:-1]], ends)]
         got, _ = expected_counts(bench.generator, corpus)
-        monkeypatch.setattr(training, "SCAN_FROM", len(tokens))
+        monkeypatch.setattr(model_module, "SCAN_FROM", len(tokens))
         want, _ = expected_counts(bench.generator, corpus)
         for part in ("initial_counts", "transition_counts", "emission_counts"):
             np.testing.assert_allclose(getattr(got, part), getattr(want, part),
