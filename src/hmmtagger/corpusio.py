@@ -36,11 +36,15 @@ def read_pretokenized(source) -> Iterator[list[str]]:
     """Stream sentences, as lists of words, from a one-token-per-line file.
 
     Blank lines end sentences; runs of blank lines collapse into a single
-    break, and a trailing sentence is closed at end of input.
+    break, and a trailing sentence is closed at end of input.  A token holds
+    no TAB, which separates the columns of tagged output: a line with one
+    raises FormatError naming it.
     """
     sentence: list[str] = []
-    for _lineno, line in decoded_lines(source):
+    for lineno, line in decoded_lines(source):
         if line:
+            if "\t" in line:
+                raise FormatError(f"line {lineno}: token {line!r} holds a TAB")
             sentence.append(line)
         elif sentence:
             yield sentence

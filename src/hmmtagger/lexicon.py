@@ -123,113 +123,81 @@ def load_lexicon(source, ts: TagSet, store: ClassStore) -> dict[str, int]:
     return {word: class_ids[members] for word, members in members_by_word.items()}
 
 
-CASE_UPPER = "U"
-CASE_LOWER = "L"
-CASE_ANY = "A"
-
-PATTERN_NUMERIC = "numeric"
-PATTERN_ABBREV = "abbrev"
-PATTERN_SYMBOL = "symbol"
-_PATTERN_ORDER = (PATTERN_NUMERIC, PATTERN_ABBREV, PATTERN_SYMBOL)
-
-# Numeric material: an optional sign, a digit, then digits and number
+# Each PATTERN kind's test of a word, in the order the guesser tries them.
+# Numeric material is an optional sign, a digit, then digits and number
 # punctuation (1997, 3,5, 1997-98, 12:30).
-_NUMERIC_RE = re.compile(r"[+-]?[0-9][0-9.,:/\-]*")
-
-
-def _is_numeric(word: str) -> bool:
-    return _NUMERIC_RE.fullmatch(word) is not None
-
-
-def _is_abbrev(word: str) -> bool:
-    return word.endswith(".") and any(ch.isalpha() for ch in word)
-
-
-def _is_symbol(word: str) -> bool:
-    return not any(ch.isalnum() for ch in word)
-
-
-_PATTERN_TESTS = {
-    PATTERN_NUMERIC: _is_numeric,
-    PATTERN_ABBREV: _is_abbrev,
-    PATTERN_SYMBOL: _is_symbol,
+_PATTERN_KINDS = {
+    "numeric": re.compile(r"[+-]?[0-9][0-9.,:/\-]*").fullmatch,
+    "abbrev": lambda word: word.endswith(".") and any(ch.isalpha() for ch in word),
+    "symbol": lambda word: not any(ch.isalnum() for ch in word),
 }
+# Each SUFFIX case letter's test of a word's first character.
+_CASES = {"U": str.isupper, "L": str.islower, "A": lambda first: True}
 
 
 @dataclass(frozen=True)
-class SuffixRule:
-    suffix: str
-    case: str  # CASE_UPPER | CASE_LOWER | CASE_ANY
-    class_id: int
-
-
 class GuesserRules:
-    """Ordered fallback rules assigning classes to out-of-lexicon words."""
+    """Ordered fallback rules assigning classes to out-of-lexicon words.
 
-    def __init__(self, suffix_rules, pattern_rules, default_upper, default_lower):
-        # longest suffixes first; equal lengths keep file order
-        self.suffix_rules: tuple[SuffixRule, ...] = tuple(
-            sorted(suffix_rules, key=lambda r: -len(r.suffix))
-        )
-        self.pattern_rules: dict[str, int] = dict(pattern_rules)
-        self.default_upper = default_upper
-        self.default_lower = default_lower
+    ``patterns`` holds ``(test, class id)`` pairs, in the fixed order
+    numeric, abbreviation, symbol, for the kinds the file defines;
+    ``suffixes`` holds ``(suffix, case test, class id)`` triples, longest
+    suffix first and equal lengths in file order, where the case test takes
+    the word's first character; ``default_upper`` and ``default_lower`` are
+    the classes of words with an uppercase and any other first character.
+    """
+
+    patterns: tuple
+    suffixes: tuple
+    default_upper: int
+    default_lower: int
 
 
 def load_guesser_rules(source, ts: TagSet, store: ClassStore) -> GuesserRules:
-    """Load guesser rules; interns every referenced class into ``store``."""
-    suffix_rules: list[SuffixRule] = []
-    pattern_rules: dict[str, int] = {}
-    defaults: dict[str, int] = {}
+    """Load guesser rules; interns every referenced class into ``store``, in
+    file order.  A malformed line raises ConfigError naming it."""
+    suffixes = []
+    tables: dict[str, dict[str, int]] = {"PATTERN": {}, "DEFAULT": {}}
     for lineno, line in config_lines(source):
         fields = line.split()
         kind = fields[0]
         if kind == "SUFFIX":
-            if len(fields) < 4 or fields[2] not in (CASE_UPPER, CASE_LOWER, CASE_ANY):
+            if len(fields) < 4 or fields[2] not in _CASES:
                 raise ConfigError(f"line {lineno}: expected SUFFIX <suffix> <U|L|A> <TAG...>")
             ids = _parse_tag_labels(fields[3:], ts, lineno)
-            suffix_rules.append(SuffixRule(fields[1], fields[2], store.intern(ids)))
-        elif kind == "PATTERN":
-            if len(fields) < 3 or fields[1] not in _PATTERN_ORDER:
-                raise ConfigError(f"line {lineno}: expected PATTERN <numeric|abbrev|symbol> <TAG...>")
-            if fields[1] in pattern_rules:
-                raise ConfigError(f"line {lineno}: duplicate PATTERN {fields[1]}")
+            suffixes.append((fields[1], _CASES[fields[2]], store.intern(ids)))
+        elif kind in tables:
+            keys = _PATTERN_KINDS if kind == "PATTERN" else ("U", "L")
+            if len(fields) < 3 or fields[1] not in keys:
+                raise ConfigError(f"line {lineno}: expected {kind} <{'|'.join(keys)}> <TAG...>")
+            if fields[1] in tables[kind]:
+                raise ConfigError(f"line {lineno}: duplicate {kind} {fields[1]}")
             ids = _parse_tag_labels(fields[2:], ts, lineno)
-            pattern_rules[fields[1]] = store.intern(ids)
-        elif kind == "DEFAULT":
-            if len(fields) < 3 or fields[1] not in (CASE_UPPER, CASE_LOWER):
-                raise ConfigError(f"line {lineno}: expected DEFAULT <U|L> <TAG...>")
-            if fields[1] in defaults:
-                raise ConfigError(f"line {lineno}: duplicate DEFAULT {fields[1]}")
-            ids = _parse_tag_labels(fields[2:], ts, lineno)
-            defaults[fields[1]] = store.intern(ids)
+            tables[kind][fields[1]] = store.intern(ids)
         else:
             raise ConfigError(f"line {lineno}: unknown rule kind {kind!r}")
-    missing = {CASE_UPPER, CASE_LOWER} - set(defaults)
+    pattern_ids, defaults = tables["PATTERN"], tables["DEFAULT"]
+    missing = {"U", "L"} - set(defaults)
     if missing:
         raise ConfigError(f"guesser rules must define DEFAULT {' and DEFAULT '.join(sorted(missing))}")
-    return GuesserRules(suffix_rules, pattern_rules, defaults[CASE_UPPER], defaults[CASE_LOWER])
+    suffixes.sort(key=lambda rule: -len(rule[0]))  # stable: equal lengths keep file order
+    patterns = tuple((test, pattern_ids[kind]) for kind, test in _PATTERN_KINDS.items()
+                     if kind in pattern_ids)
+    return GuesserRules(patterns, tuple(suffixes), defaults["U"], defaults["L"])
 
 
 def guess_class(rules: GuesserRules, word: str) -> int:
     """Assign a class to an out-of-lexicon word; total for non-empty words."""
     if not word:
         raise ValueError("cannot classify an empty word")
-    for kind in _PATTERN_ORDER:
-        class_id = rules.pattern_rules.get(kind)
-        if class_id is not None and _PATTERN_TESTS[kind](word):
+    for test, class_id in rules.patterns:
+        if test(word):
             return class_id
-    first_upper = word[0].isupper()
-    first_lower = word[0].islower()
-    for rule in rules.suffix_rules:
-        if not word.endswith(rule.suffix):
-            continue
-        if rule.case == CASE_UPPER and not first_upper:
-            continue
-        if rule.case == CASE_LOWER and not first_lower:
-            continue
-        return rule.class_id
-    return rules.default_upper if first_upper else rules.default_lower
+    first = word[0]
+    for suffix, case, class_id in rules.suffixes:
+        if word.endswith(suffix) and case(first):
+            return class_id
+    return rules.default_upper if first.isupper() else rules.default_lower
 
 
 def classify(lex: dict[str, int], rules: GuesserRules, word: str) -> int:

@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the dynamic-programming algorithms,
-and the plain lexicon loader that the fast one must agree with.
+and the plain lexicon loader and unknown-word guesser that the fast ones
+must agree with.
 
 Everything here enumerates paths explicitly and never calls the code under
 test.  Floating-point additions are accumulated left to right, position by
@@ -217,3 +218,48 @@ def plain_load_lexicon(source, ts, store):
                 raise ConfigError(f"line {lineno}: unknown tag label {label!r}")
             members_by_word.setdefault(word, set()).add(tag)
     return {word: store.intern(members) for word, members in members_by_word.items()}
+
+
+def _plain_numeric(word):
+    """An optional sign, an ASCII digit, then ASCII digits and ``.,:/-``."""
+    body = word[1:] if word[0] in "+-" else word
+    return body != "" and body[0] in "0123456789" and set(body) <= set("0123456789.,:/-")
+
+
+def plain_guess_class(source, ts, word):
+    """The member tuple of the class that ``lexicon.guess_class`` gives the
+    non-empty ``word`` under the valid rules file ``source``, found the way
+    the ``lexicon`` module docstring states the rule.  Every rule that
+    matches the word is collected; the answer is the first matching pattern
+    in the order numeric, abbreviation, symbol; failing that, the longest
+    matching suffix whose case condition holds on the word's first letter,
+    the earliest in the file among equal lengths; failing that, the default
+    for an uppercase or any other first letter."""
+    first = word[0]
+    holds = {"U": first.isupper(), "L": first.islower(), "A": True}
+    matches = {
+        "numeric": _plain_numeric(word),
+        "abbrev": word.endswith(".") and any(ch.isalpha() for ch in word),
+        "symbol": not any(ch.isalnum() for ch in word),
+    }
+    patterns, suffixes, defaults = {}, [], {}
+    for _lineno, line in config_lines(source):
+        kind, *fields = line.split()
+        if kind == "SUFFIX":
+            suffix, case, *labels = fields
+            if word.endswith(suffix) and holds[case]:
+                suffixes.append((suffix, labels))
+        else:
+            key, *labels = fields
+            if kind == "DEFAULT":
+                defaults[key] = labels
+            elif matches[key]:
+                patterns[key] = labels
+    if patterns:
+        labels = patterns[next(kind for kind in matches if kind in patterns)]
+    elif suffixes:
+        longest = max(len(suffix) for suffix, _ in suffixes)
+        labels = next(labels for suffix, labels in suffixes if len(suffix) == longest)
+    else:
+        labels = defaults["U" if first.isupper() else "L"]
+    return tuple(sorted({ts.tag_id(label) for label in labels}))

@@ -613,6 +613,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: model file holds an invalid model: class 2 equals class 0"]
 
+    @pytest.mark.parametrize("command", ["tag", "train"])
+    def test_pretokenized_token_with_a_tab_is_exit_2(self, bench_dir, trained, tmp_path,
+                                                     capsys, command):
+        p = paths(bench_dir)
+        src = tmp_path / "in.txt"
+        src.write_text("w001a\n\nw000a\tx\n", encoding="utf-8")
+        res = ["--tagset", p["tags"], "--lexicon", p["lex"], "--rules", p["rules"]]
+        out = str(tmp_path / "out")
+        if command == "tag":
+            args = ["tag", "--model", trained, *res, "--pretokenized", str(src), out]
+        else:
+            args = ["train", "--regime", "bias", *res, "--corpus", str(src), "--out", out]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: line 3: token 'w000a\\tx' holds a TAB")
+
     def test_bad_byte_in_lexicon_is_exit_2(self, bench_dir, trained, tmp_path, capsys):
         p = paths(bench_dir)
         lex = tmp_path / "bad.lex"

@@ -55,6 +55,14 @@ class TestReadPretokenized:
         assert len(sents) == 1 and len(sents[0]) == 30001
         assert sents[0][:2] == ["w000000", "w000001"] and sents[0][-1] == "last"
 
+    @pytest.mark.parametrize("text, line", [
+        ("w000a\tx\n", 1), ("Der\nHund\n\n\t\n", 4), ("a\r\nb\tc\r\n", 2)])
+    def test_token_with_a_tab_names_its_line(self, text, line):
+        # tagged output separates its columns with TAB, so such a token
+        # could not be read back
+        with pytest.raises(FormatError, match=rf"^line {line}: token .* holds a TAB$"):
+            list(read_pretokenized(io.BytesIO(text.encode())))
+
     def test_round_trip_with_writer(self):
         sents = [["Der", "Hund"], ["bellt", ".", "#"]]
         buf = io.StringIO()

@@ -8,12 +8,13 @@ from hmmtagger.errors import ConfigError
 from hmmtagger.lexicon import (
     ClassStore,
     classify,
+    default_rules_text,
     guess_class,
     load_guesser_rules,
     load_lexicon,
 )
 from hmmtagger.tagset import load_tagset
-from oracles import plain_load_lexicon
+from oracles import plain_guess_class, plain_load_lexicon
 
 
 def labels_of(store, ts, class_id):
@@ -225,6 +226,93 @@ class TestGuesser:
     def test_unknown_tag_in_rule_rejected(self, elwis):
         with pytest.raises(ConfigError, match="NOPE"):
             load_rules("SUFFIX en A NOPE\nDEFAULT U NN\nDEFAULT L NN\n", elwis, ClassStore())
+
+
+_DEFAULTS = "DEFAULT U NN\nDEFAULT L ADV\n"
+
+
+class TestGuesserRulesLoading:
+    @pytest.mark.parametrize("text, message", [
+        ("SUFFIX ung U\n" + _DEFAULTS, "line 1: expected SUFFIX <suffix> <U|L|A> <TAG...>"),
+        ("SUFFIX ung\n" + _DEFAULTS, "line 1: expected SUFFIX <suffix> <U|L|A> <TAG...>"),
+        ("# c\n\nSUFFIX ung X NN\n" + _DEFAULTS,
+         "line 3: expected SUFFIX <suffix> <U|L|A> <TAG...>"),
+        ("SUFFIX ung u NN\n" + _DEFAULTS, "line 1: expected SUFFIX <suffix> <U|L|A> <TAG...>"),
+        (_DEFAULTS + "PATTERN dates CARD\n",
+         "line 3: expected PATTERN <numeric|abbrev|symbol> <TAG...>"),
+        (_DEFAULTS + "PATTERN numeric\n",
+         "line 3: expected PATTERN <numeric|abbrev|symbol> <TAG...>"),
+        ("PATTERN symbol $(\n# c\nPATTERN symbol NN\n" + _DEFAULTS,
+         "line 3: duplicate PATTERN symbol"),
+        ("DEFAULT A NN\n" + _DEFAULTS, "line 1: expected DEFAULT <U|L> <TAG...>"),
+        ("DEFAULT L\n" + _DEFAULTS, "line 1: expected DEFAULT <U|L> <TAG...>"),
+        (_DEFAULTS + "\nDEFAULT U NE\n", "line 4: duplicate DEFAULT U"),
+        ("SUFFIX en L NN\nFOO bar NN\n" + _DEFAULTS, "line 2: unknown rule kind 'FOO'"),
+        ("suffix en L NN\n" + _DEFAULTS, "line 1: unknown rule kind 'suffix'"),
+        (_DEFAULTS + "SUFFIX en A NN NOPE\n", "line 3: unknown tag label 'NOPE'"),
+        ("DEFAULT L ADV\n", "guesser rules must define DEFAULT U"),
+        ("SUFFIX en L NN\nDEFAULT U NN\n", "guesser rules must define DEFAULT L"),
+        ("PATTERN numeric CARD\n", "guesser rules must define DEFAULT L and DEFAULT U"),
+        ("", "guesser rules must define DEFAULT L and DEFAULT U"),
+    ])
+    def test_error_names_the_line(self, elwis, text, message):
+        with pytest.raises(ConfigError) as error:
+            load_rules(text, elwis, ClassStore())
+        assert str(error.value) == message
+
+    def test_bundled_rules_intern_their_classes_in_file_order(self, elwis):
+        # ``tag`` seeds its store with the model's class inventory
+        seed = [("NN",), ("KON",), ("NE", "NN")]
+        store = ClassStore.from_members([[elwis.tag_id(label) for label in members]
+                                         for members in seed])
+        rules = load_rules(default_rules_text(), elwis, store)
+        assert [set(labels_of(store, elwis, c)) for c in range(len(store))] == [
+            {"NN"}, {"KON"}, {"NE", "NN"},  # the seed; NN and NN NE are reused
+            {"CARD"}, {"$("}, {"ADJA", "ADJD"}, {"VINF", "VFIN"}, {"VINF", "VFIN", "ADJA"},
+            {"VFIN", "ADJA"}, {"VFIN", "VPP"}, {"ADJD", "ADV", "VFIN"},
+        ]
+        assert (rules.default_upper, rules.default_lower) == (2, 10)
+        assert [class_id for _, class_id in rules.patterns] == [3, 2, 4]
+        assert [(suffix, class_id) for suffix, _, class_id in rules.suffixes] == [
+            ("schaft", 0), ("ismus", 0), ("ieren", 6), ("heit", 0), ("keit", 0),
+            ("chen", 0), ("lein", 0), ("tion", 0), ("lich", 5), ("isch", 5),
+            ("ung", 0), ("bar", 5), ("sam", 5), ("los", 5), ("ig", 5), ("en", 7),
+            ("te", 8), ("t", 9),
+        ]
+
+
+_RULE_LABELS = ["NN", "NE", "ADJA", "ADJD", "CARD", "$(", "KON", "ADV", "VFIN"]
+# Suffixes that repeat, tie in length and end in caseless characters
+_SUFFIXES = ["a", "b", "ab", "xab", "ung", "g", "en", "n", ".", "1", "ß", "_", "ǅ"]
+# Pieces of words: letters of either case, ß, first characters that are
+# neither upper nor lower (_, digits and the titlecase ǅ), number
+# punctuation, symbols, and an abbreviation's stem
+_PIECES = _SUFFIXES + ["A", "Ä", "B", "Zeit", "9", "0", ",", "-", "+", ":", "/", "%", "Abk"]
+
+
+@st.composite
+def _rule_texts(draw):
+    """A valid rules file: any subset of the pattern kinds, suffixes of all
+    three case conditions, repeated and of equal lengths, and both defaults,
+    in any order."""
+    tags = st.lists(st.sampled_from(_RULE_LABELS), min_size=1, max_size=3).map(" ".join)
+    kinds = draw(st.lists(st.sampled_from(["numeric", "abbrev", "symbol"]), unique=True))
+    lines = [f"PATTERN {kind} {draw(tags)}" for kind in kinds]
+    lines += [f"SUFFIX {draw(st.sampled_from(_SUFFIXES))} {draw(st.sampled_from('ULA'))} "
+              f"{draw(tags)}" for _ in range(draw(st.integers(0, 10)))]
+    lines += [f"DEFAULT U {draw(tags)}", f"DEFAULT L {draw(tags)}"]
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_rule_texts(), st.lists(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4)
+                               .map("".join), min_size=1, max_size=20))
+def test_guess_class_matches_the_plain_guesser(elwis, text, words):
+    store = ClassStore()
+    rules = load_rules(text, elwis, store)
+    for word in words:
+        assert store[guess_class(rules, word)] == plain_guess_class(
+            io.StringIO(text), elwis, word), word
 
 
 class TestClassify:
