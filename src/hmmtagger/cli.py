@@ -18,17 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
+import stat
 import sys
-from itertools import zip_longest
 
 import numpy as np
 
 from . import synth as synthmod
-from .corpusio import (class_signatures, read_pretokenized, read_tagged, tokenize_raw,
-                       write_pretokenized, write_tagged)
+from .corpusio import (class_signatures, read_pretokenized, read_tagged, read_tagged_blocks,
+                       tokenize_raw, write_pretokenized, write_tagged)
 from .decoder import decode
-from .errors import AlignmentError, DataError, TaggerError
-from .evaluation import load_major_classes, profile_report
+from .errors import DataError, TaggerError
+from .evaluation import aligned_blocks, load_major_classes, profile_columns
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
 from .model import chunks, load_biases, load_model, save_model
 from .tagset import load_tagset
@@ -102,12 +103,13 @@ def _load_resources(inputs, ts, store):
     rules = load_guesser_rules(inputs["rules"], ts, store)
 
     def classes_of(words) -> np.ndarray:
-        ids = []
-        for word in words:
-            class_id = lex.get(word)
-            if class_id is None:
-                class_id = lex[word] = classify(lex, rules, word)
-            ids.append(class_id)
+        ids = list(map(lex.get, words))
+        if None in ids:
+            for i in [i for i, class_id in enumerate(ids) if class_id is None]:
+                class_id = lex.get(words[i])  # guessed at an earlier repeat
+                if class_id is None:
+                    class_id = lex[words[i]] = classify(lex, rules, words[i])
+                ids[i] = class_id
         return np.array(ids, dtype=np.intp)
 
     return classes_of
@@ -198,10 +200,39 @@ def cmd_tag(args) -> int:
                     yield list(zip(chunk[i], result.tags,
                                    [signatures[c] for c in classes[i].tolist()]))
 
-    write_tagged(args.output, tagged(), ts)
+    _write_whole(args.output, lambda stream: write_tagged(stream, tagged(), ts))
     if skipped:
         print(f"warning: {len(skipped)} sentence(s) skipped", file=sys.stderr)
     return EXIT_OK
+
+
+def _write_whole(path: str, write) -> None:
+    """Call ``write`` on a new text file beside ``path`` that replaces
+    ``path`` once ``write`` returns, so a failed run leaves ``path`` as it
+    was.  The file gets the permissions ``open(path, "w")`` would give: an
+    existing output's, else a new file's.  An existing output that is no
+    regular file, such as a FIFO, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as stream:
+            write(stream)
+        return
+    target = os.path.realpath(path)
+    while True:
+        temporary = f"{target}.{secrets.token_hex(4)}.tmp"
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        if os.path.exists(target):
+            os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+        with open(fd, "w", encoding="utf-8", newline="\n") as stream:
+            write(stream)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def cmd_eval(args) -> int:
@@ -216,27 +247,10 @@ def cmd_eval(args) -> int:
     ts, store = load_tagset(inputs["tagset"]), ClassStore()
     classes_of = _load_resources(inputs, ts, store)
     major = load_major_classes(inputs["major_classes"], ts)
-    pred, gold, classes = [], [], []
-    pred_sents, gold_sents = read_tagged(inputs["pred"], ts), read_tagged(inputs["gold"], ts)
-    for i, (p, g) in enumerate(zip_longest(pred_sents, gold_sents)):
-        if p is None or g is None:  # one file ran out; count the rest of the other
-            n_pred = i + (p is not None) + sum(1 for _ in pred_sents)
-            n_gold = i + (g is not None) + sum(1 for _ in gold_sents)
-            raise AlignmentError(f"prediction has {n_pred} sentences, gold has {n_gold}")
-        if len(p) != len(g):
-            raise AlignmentError(
-                f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
-                sentence_index=i,
-            )
-        (p_words, p_tags, *_), (g_words, g_tags, *_) = zip(*p), zip(*g)
-        for j, (pw, gw) in enumerate(zip(p_words, g_words)):
-            if pw != gw:
-                raise AlignmentError(f"sentence {i} token {j}: surface {pw!r} != {gw!r}",
-                                     sentence_index=i)
-        pred.append(p_tags)
-        gold.append(g_tags)
-        classes.append(classes_of(g_words))
-    report = profile_report(pred, gold, classes, store, ts, major, top_k=args.top_k)
+    blocks = aligned_blocks(read_tagged_blocks(inputs["pred"], ts),
+                            read_tagged_blocks(inputs["gold"], ts))
+    columns = ((pred.tags, gold.tags, classes_of(gold.words)) for pred, gold in blocks)
+    report = profile_columns(columns, store, ts, major, top_k=args.top_k)
     sys.stdout.write(report.render_text())
     if args.json:
         doc = report.to_dict()

@@ -8,10 +8,13 @@ PRELS`` (relative to all tokens, leading zero dropped) and error types like
 equivalence class the model had to choose from, omitted when the lexicon
 offered a single choice.
 
-Every figure is read from one tally of the corpus: alignment is checked
-once, then a single pass counts the tokens per class id and the mismatches
-per (predicted tag, class id, gold tag).  Class sizes, members and major
-classes are then looked up once per distinct class, not once per token.
+Every figure is read from one tally of the corpus.  ``check_alignment``
+is the one check of sentence counts, lengths and surfaces, for library
+callers and ``hmmtagger eval`` alike.  The tally then counts the tokens per
+class id and the mismatches per (predicted tag, class id, gold tag) over
+flat int columns, a block of tokens at a time, so ``hmmtagger eval`` holds
+no more than a block of the corpus.  Class sizes, members and major classes
+are then looked up once per distinct class, not once per token.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
-from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,36 +98,114 @@ def default_major_classes(ts: TagSet) -> MajorClassMap:
     return load_major_classes(io.StringIO(text), ts)
 
 
-class _Tally:
-    """One pass over the token sequences; every figure is read from it.
+def check_alignment(pred_lengths, gold_lengths, pred_words=None, gold_words=None,
+                    start: int = 0) -> None:
+    """Raise AlignmentError where prediction and gold first disagree.
 
-    Counts the tokens per class id and the mismatches per (predicted tag,
-    class id, gold tag), the class id being None when no class sequences
-    are given.  ``pred`` and ``gold`` come together or not at all.  The
-    sequences given are checked against the first, in order, for alignment.
+    The lengths are int arrays, one entry per sentence from sentence
+    ``start`` on; the words, when given, are those sentences' words in one
+    flat list per side.  The sentence counts are compared first.  Then the
+    first sentence whose length differs, or before it the first token whose
+    surface differs, is named, with its sentence index.
+    """
+    if len(pred_lengths) != len(gold_lengths):
+        raise AlignmentError(f"prediction has {start + len(pred_lengths)} sentences, "
+                             f"gold has {start + len(gold_lengths)}")
+    differ = np.flatnonzero(pred_lengths != gold_lengths)
+    bad = int(differ[0]) if differ.size else len(pred_lengths)
+    if pred_words is not None:
+        ends = np.cumsum(gold_lengths[:bad])
+        n = int(ends[-1]) if bad else 0
+        if pred_words[:n] != gold_words[:n]:
+            j = next(j for j, (p, g) in enumerate(zip(pred_words, gold_words)) if p != g)
+            i = int(np.searchsorted(ends, j, side="right"))
+            raise AlignmentError(
+                f"sentence {start + i} token {j - int(ends[i]) + int(gold_lengths[i])}: "
+                f"surface {pred_words[j]!r} != {gold_words[j]!r}", sentence_index=start + i)
+    if differ.size:
+        raise AlignmentError(
+            f"sentence {start + bad}: prediction has {pred_lengths[bad]} tokens, "
+            f"gold has {gold_lengths[bad]}", sentence_index=start + bad)
+
+
+def aligned_blocks(pred_blocks, gold_blocks) -> Iterator[tuple]:
+    """Pair two streams of ``corpusio.TaggedBlock``s, read in lockstep, as
+    blocks that hold the same sentences of the prediction and of gold.
+
+    ``check_alignment`` checks each pair and, once a stream runs out, the
+    number of sentences left in the other.
+    """
+    pred = gold = None  # what is left of the last block read from each stream
+    start = 0  # index of the next sentence
+    while True:
+        if pred is None:
+            pred = next(pred_blocks, None)
+        if gold is None:
+            gold = next(gold_blocks, None)
+        if pred is None or gold is None:
+            break
+        k = min(len(pred.lengths), len(gold.lengths))
+        (p, pred), (g, gold) = pred.cut(k), gold.cut(k)
+        check_alignment(p.lengths, g.lengths, p.words, g.words, start)
+        yield p, g
+        start += k
+        pred = pred if len(pred.lengths) else None
+        gold = gold if len(gold.lengths) else None
+
+    def left(block, blocks):  # the lengths of the sentences not yet paired
+        first = [] if block is None else [block]
+        return np.concatenate([np.empty(0, np.intp)] + [b.lengths for b in chain(first, blocks)])
+
+    check_alignment(left(pred, pred_blocks), left(gold, gold_blocks), start=start)
+
+
+class _Tally:
+    """Token counts per class id and mismatch counts per (predicted tag,
+    class id, gold tag); every figure is read from them.
+
+    Tokens are added a block at a time as flat int columns, which ``add``
+    counts with ``np.bincount`` and ``np.unique``.  ``pred`` and ``gold``
+    come together or not at all; without ``classes`` only the number of
+    mismatches is counted.
     """
 
-    def __init__(self, pred=None, gold=None, classes=None):
-        first, *others = [s for s in (pred, gold, classes) if s is not None]
-        for other in others:
-            if len(first) != len(other):
-                raise AlignmentError(
-                    f"prediction has {len(first)} sentences, gold has {len(other)}")
-            for i, (p, g) in enumerate(zip(first, other)):
-                if len(p) != len(g):
-                    raise AlignmentError(
-                        f"sentence {i}: prediction has {len(p)} tokens, gold has {len(g)}",
-                        sentence_index=i)
-        self.n_tokens = sum(map(len, first))
+    def __init__(self):
+        self.n_tokens = self.n_mismatches = 0
         self.class_counts: Counter[int] = Counter()
-        self.mismatches: Counter[tuple[int, Optional[int], int]] = Counter()
-        absent = repeat(repeat(None))  # None at every token of every sentence
-        for p_s, g_s, c_s in zip(*(absent if s is None else s for s in (pred, gold, classes))):
-            if classes is not None:
-                c_s = np.asarray(c_s).tolist()
-                self.class_counts.update(c_s)
-            self.mismatches.update((p, c, g) for p, g, c in zip(p_s, g_s, c_s) if p != g)
-        self.n_mismatches = sum(self.mismatches.values())
+        self.mismatches: Counter[tuple[int, int, int]] = Counter()
+
+    @classmethod
+    def of_sentences(cls, pred=None, gold=None, classes=None) -> _Tally:
+        """The tally of sequences of sentences, after checking the sequences
+        given against the first, in order, for alignment."""
+        given = [s for s in (pred, gold, classes) if s is not None]
+        first, *others = [np.fromiter(map(len, s), np.intp, len(s)) for s in given]
+        for other in others:
+            check_alignment(first, other)
+        tally = cls()
+        tally.add(*(None if s is None else np.fromiter(chain.from_iterable(s), np.intp)
+                    for s in (pred, gold, classes)))
+        return tally
+
+    def add(self, pred=None, gold=None, classes=None) -> None:
+        """Count a block of aligned tokens, given as flat int arrays."""
+        self.n_tokens += len(gold if classes is None else classes)
+        if classes is not None:
+            counts = np.bincount(classes)
+            present = np.flatnonzero(counts)
+            self.class_counts.update(dict(zip(present.tolist(), counts[present].tolist())))
+        if pred is None:
+            return
+        wrong = np.flatnonzero(pred != gold)
+        self.n_mismatches += len(wrong)
+        if classes is None or not len(wrong):
+            return
+        p, c, g = pred[wrong], classes[wrong], gold[wrong]
+        n_classes, n_tags = int(c.max()) + 1, int(max(p.max(), g.max())) + 1
+        keys, counts = np.unique((p * n_classes + c) * n_tags + g, return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            pc, g_tag = divmod(key, n_tags)
+            self.mismatches[divmod(pc, n_classes) + (g_tag,)] += count
 
     def error_rate(self) -> float:
         if self.n_tokens == 0:
@@ -183,12 +264,12 @@ class _Tally:
 
 def error_rate(pred: Sequence[Sequence[int]], gold: Sequence[Sequence[int]]) -> float:
     """Fraction of tokens whose predicted tag differs from the gold tag."""
-    return _Tally(pred, gold).error_rate()
+    return _Tally.of_sentences(pred, gold).error_rate()
 
 
 def ambiguity_rate(class_seqs: Sequence[Sequence[int]], store: Inventory) -> float:
     """Total possible tag assignments divided by the token count (>= 1)."""
-    return _Tally(classes=class_seqs).ambiguity_rate(store)
+    return _Tally.of_sentences(classes=class_seqs).ambiguity_rate(store)
 
 
 def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: Inventory,
@@ -198,7 +279,7 @@ def class_frequency_table(class_seqs: Sequence[Sequence[int]], store: Inventory,
     Singleton classes never appear, but their tokens stay in the
     denominator.  Ordered by descending frequency, then ascending class id.
     """
-    return _Tally(classes=class_seqs).class_frequencies(store, ts, top_k)
+    return _Tally.of_sentences(classes=class_seqs).class_frequencies(store, ts, top_k)
 
 
 def error_type_table(pred, gold, class_seqs, store: Inventory, ts: TagSet,
@@ -209,7 +290,7 @@ def error_type_table(pred, gold, class_seqs, store: Inventory, ts: TagSet,
     over the full (untruncated) table.  Ordered by descending frequency,
     then ascending (predicted id, class size, gold id).
     """
-    return _Tally(pred, gold, class_seqs).error_types(store, ts, top_k)
+    return _Tally.of_sentences(pred, gold, class_seqs).error_types(store, ts, top_k)
 
 
 def ambiguity_kind(members: Iterable[int], major_map: MajorClassMap) -> str:
@@ -273,7 +354,20 @@ class EvalReport:
 def profile_report(pred, gold, class_seqs, store: Inventory, ts: TagSet,
                    major_map: MajorClassMap, top_k: Optional[int] = 20) -> EvalReport:
     """Aggregate the full measurement battery into one report."""
-    tally = _Tally(pred, gold, class_seqs)
+    return _report(_Tally.of_sentences(pred, gold, class_seqs), store, ts, major_map, top_k)
+
+
+def profile_columns(columns, store: Inventory, ts: TagSet, major_map: MajorClassMap,
+                    top_k: Optional[int] = 20) -> EvalReport:
+    """``profile_report`` of aligned blocks of tokens: ``columns`` yields
+    (predicted tags, gold tags, class ids) as flat int arrays."""
+    tally = _Tally()
+    for pred, gold, classes in columns:
+        tally.add(pred, gold, classes)
+    return _report(tally, store, ts, major_map, top_k)
+
+
+def _report(tally: _Tally, store, ts, major_map, top_k) -> EvalReport:
     return EvalReport(
         error_rate=tally.error_rate(),
         ambiguity_rate=tally.ambiguity_rate(store),

@@ -7,10 +7,11 @@ directive the tag ``$.`` is the delimiter when present.  Tag ids are assigned
 in file order so that saved models and bias files stay stable across loads.
 
 This module also holds what every input reader shares: opening a path or a
-stream (``open_input``) and the one line decoder (``decoded_lines``).  The
-corpus readers use the decoder as it is; the tag-set, lexicon, guesser-rule,
-bias and major-class loaders read through ``config_lines``, which is the
-decoder minus blank and comment lines.
+stream (``open_input``) and the one decoder (``decoded_blocks``), which
+yields a file's lines a block at a time.  The corpus readers parse those
+blocks; the tag-set, lexicon, guesser-rule, bias and major-class loaders
+read through ``config_lines``, which is the decoder line by line
+(``decoded_lines``) minus blank and comment lines.
 """
 
 from __future__ import annotations
@@ -89,21 +90,25 @@ def open_input(source):
             yield f
 
 
-_BLOCK_SIZE = 1 << 16  # about this many bytes of whole lines are decoded at once
+# About this many bytes of whole lines are decoded at once.  A corpus block
+# is parsed into a Python object per line and per field, some 20 times its
+# size, so a larger block makes a reader's peak memory grow for no speed.
+_BLOCK_SIZE = 1 << 15
 
 
-def decoded_lines(source) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, line)`` for every line of a UTF-8 file, from a
-    path or a file object, without its ``\\n`` or ``\\r\\n`` ending.
+def decoded_blocks(source) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(number of its first line, lines)`` for each block of whole
+    lines of a UTF-8 file, from a path or a file object, each line without
+    its ``\\n`` or ``\\r\\n`` ending.
 
-    The input streams in blocks of whole lines, each decoded in one call; a
-    bad byte raises FormatError with its offset and line.  Text-mode file
-    objects are split as they are.
+    The input streams in blocks of ``_BLOCK_SIZE`` bytes completed to the
+    end of a line, each decoded in one call; a bad byte raises FormatError with its
+    offset and line.  Text-mode file objects are split as they are.
     """
     with open_input(source) as stream:
         lineno = offset = 0
-        while raw := stream.readlines(_BLOCK_SIZE):
-            block = raw[0][:0].join(raw)  # bytes, or str from a text stream
+        # bytes, or str from a text stream, completed to the end of a line
+        while block := stream.read(_BLOCK_SIZE) + stream.readline():
             if not isinstance(block, str):
                 try:
                     text = block.decode("utf-8")
@@ -116,9 +121,16 @@ def decoded_lines(source) -> Iterator[tuple[int, str]]:
             lines = block.split("\n")
             if not lines[-1]:  # what follows the last line break is not a line
                 lines.pop()
-            for line in lines:
-                lineno += 1
-                yield lineno, line[:-1] if line.endswith("\r") else line
+            if "\r" in block:
+                lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+            yield lineno + 1, lines
+            lineno += len(lines)
+
+
+def decoded_lines(source) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for every line of ``decoded_blocks``."""
+    for first, lines in decoded_blocks(source):
+        yield from enumerate(lines, first)
 
 
 def config_lines(source) -> Iterator[tuple[int, str]]:

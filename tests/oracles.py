@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the dynamic-programming algorithms,
-and the plain lexicon loader and unknown-word guesser that the fast ones
-must agree with.
+and the plain lexicon loader, unknown-word guesser and line-by-line corpus
+readers that the fast ones must agree with.
 
 Everything here enumerates paths explicitly and never calls the code under
 test.  Floating-point additions are accumulated left to right, position by
@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from hmmtagger.errors import ConfigError
-from hmmtagger.tagset import config_lines
+from hmmtagger.errors import ConfigError, DataError, FormatError
+from hmmtagger.tagset import config_lines, decoded_lines
 
 
 def log_or_neginf(x: float) -> float:
@@ -263,3 +263,54 @@ def plain_guess_class(source, ts, word):
     else:
         labels = defaults["U" if first.isupper() else "L"]
     return tuple(sorted({ts.tag_id(label) for label in labels}))
+
+
+def plain_read_pretokenized(source):
+    """``corpusio.read_pretokenized`` one line at a time: sentences of
+    words, blank lines ending them; a token holding a TAB is an error that
+    names its line."""
+    sentence = []
+    for lineno, line in decoded_lines(source):
+        if line:
+            if "\t" in line:
+                raise FormatError(f"line {lineno}: token {line!r} holds a TAB")
+            sentence.append(line)
+        elif sentence:
+            yield sentence
+            sentence = []
+    if sentence:
+        yield sentence
+
+
+def plain_read_tagged(source, ts):
+    """``corpusio.read_tagged`` one line at a time: each line split at its
+    first two TABs and checked on its own, in order, and against the column
+    count of its sentence's first line."""
+    sentence = []
+    for lineno, line in decoded_lines(source):
+        if line == "":
+            if sentence:
+                yield sentence
+                sentence = []
+            continue
+        surface, sep, label = line.partition("\t")
+        if not sep:
+            raise FormatError(f"line {lineno}: expected token<TAB>TAG, got {line!r}")
+        if not surface:
+            raise FormatError(f"line {lineno}: empty token")
+        label, sep, signature = label.partition("\t")
+        tag = ts.tag_id(label)
+        if tag is None:
+            raise DataError(f"line {lineno}: unknown tag {label!r}")
+        if sep:
+            members = [ts.tag_id(m) for m in signature.split("+")]
+            if None in members or tag not in members:
+                raise FormatError(f"line {lineno}: third column {signature!r} is not a class "
+                                  f"signature containing {label!r}")
+        if not sentence:
+            columns = sep  # the sentence's first line sets its column count
+        elif sep != columns:
+            raise FormatError(f"line {lineno}: sentence mixes two- and three-column lines")
+        sentence.append((surface, tag, signature) if sep else (surface, tag))
+    if sentence:
+        yield sentence

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from hmmtagger import cli
+from hmmtagger import cli, tagset
+from hmmtagger import model as model_module
 from hmmtagger.cli import main
 from hmmtagger.corpusio import class_signatures, read_tagged, write_tagged
+from hmmtagger.evaluation import load_major_classes, profile_report
 from hmmtagger.lexicon import (ClassStore, classify, default_lexicon_text, default_rules_text,
                                load_lexicon)
 from hmmtagger.model import load_model
@@ -292,6 +294,40 @@ class TestTagCommand:
                      p["txt"], str(tmp_path / "out.tagged")])
         assert code == 1
 
+    def test_a_failed_run_leaves_the_output_as_it_was(self, bench_dir, trained, tmp_path,
+                                                      capsys, monkeypatch):
+        # small blocks and chunks, so that many chunks are decoded and
+        # written before the reader reaches the TAB token on the last line
+        monkeypatch.setattr(tagset, "_BLOCK_SIZE", 512)
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", 64)
+        p = paths(bench_dir)
+        with open(p["txt"], encoding="utf-8") as f:
+            text = f.read()
+        src, out = tmp_path / "in.txt", tmp_path / "out.tagged"
+        src.write_text(text * 3 + "w000a\tx\n", encoding="utf-8")
+        args = ["tag", "--model", trained, "--tagset", p["tags"], "--lexicon", p["lex"],
+                "--rules", p["rules"], "--pretokenized", str(src), str(out)]
+        for before in (None, b"an earlier output\n"):
+            if before is not None:
+                out.write_bytes(before)
+            assert main(args) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"error: line {3 * text.count(chr(10)) + 1}: token 'w000a\\tx' holds a TAB")
+            assert (out.read_bytes() if out.exists() else None) == before
+            assert sorted(os.listdir(tmp_path)) == sorted(["in.txt"] + ["out.tagged"] * bool(before))
+        # a run that succeeds replaces the output, with the permissions a new file gets
+        src.write_text(text, encoding="utf-8")
+        out.unlink()
+        assert main(args) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+        assert [w for s in read_tagged(out, load_tagset(p["tags"])) for w, _ in s] == text.split()
+        # and keeps the permissions of an output that existed before
+        os.chmod(out, 0o604)
+        assert main(args) == 0
+        assert os.stat(out).st_mode & 0o777 == 0o604
+
     def test_unambiguous_input_forces_gold(self, bench_dir, trained, tmp_path):
         # tokens of singleton classes decode to their only member, whatever
         # the model parameters
@@ -421,6 +457,78 @@ class TestEvalCommand:
                      "--tagset", p["tags"], "--lexicon", p["lex"],
                      "--rules", p["rules"], "--major-classes", str(major)])
         assert code == 2
+
+
+class TestEvalInBlocks:
+    """``eval`` reads both files a block at a time, in lockstep, whatever
+    the sentences at which the two files' blocks end."""
+
+    @pytest.fixture()
+    def setup(self, bench_dir, trained, tmp_path):
+        p = paths(bench_dir)
+        major = tmp_path / "major.map"
+        major.write_text("".join(f"T{i:02d} closed\n" for i in range(5)), encoding="utf-8")
+        pred = str(tmp_path / "pred.tagged")
+        assert main(["tag", "--model", trained, "--tagset", p["tags"], "--lexicon", p["lex"],
+                     "--rules", p["rules"], "--pretokenized", "--with-class", p["txt"], pred]) == 0
+        res = ["--tagset", p["tags"], "--lexicon", p["lex"], "--rules", p["rules"],
+               "--major-classes", str(major)]
+        return p, pred, res
+
+    def test_report_does_not_depend_on_the_block_size(self, setup, tmp_path, capsys,
+                                                      monkeypatch):
+        p, pred, res = setup
+        gold = tmp_path / "gold.crlf"  # CRLF gold against an LF prediction with classes
+        with open(p["gold"], "rb") as f:
+            gold.write_bytes(f.read().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        runs = []
+        for size in (tagset._BLOCK_SIZE, 1, 7, 64):
+            monkeypatch.setattr(tagset, "_BLOCK_SIZE", size)
+            report = tmp_path / f"report{size}.json"
+            assert main(["eval", "--pred", pred, "--gold", str(gold), *res,
+                         "--json", str(report)]) == 0
+            doc = json.loads(report.read_text(encoding="utf-8"))
+            del doc["manifest"]
+            runs.append((capsys.readouterr().out.split("\n", 1)[1], doc))
+        assert all(run == runs[0] for run in runs[1:])
+        # the library path over whole sentences gives the same report
+        ts = load_tagset(p["tags"])
+        store = ClassStore()
+        lex = load_lexicon(p["lex"], ts, store)
+        pred_tags = [[t for _, t, _ in s] for s in read_tagged(pred, ts)]
+        gold_sents = list(read_tagged(p["gold"], ts))
+        want = profile_report(pred_tags, [[t for _, t in s] for s in gold_sents],
+                              [[lex[w] for w, _ in s] for s in gold_sents], store, ts,
+                              load_major_classes(setup[2][-1], ts))
+        assert runs[0][1] == json.loads(json.dumps(want.to_dict()))
+
+    @pytest.mark.parametrize("size", [1, 7, 64, tagset._BLOCK_SIZE])
+    def test_misalignment_is_named_at_every_block_size(self, setup, tmp_path, capsys,
+                                                       monkeypatch, size):
+        p, pred, res = setup
+        with open(pred, encoding="utf-8") as f:
+            sents = [block.splitlines() for block in f.read().strip("\n").split("\n\n")]
+        n, last = len(sents), len(sents) - 1
+        words = [[line.split("\t")[0] for line in s] for s in sents]
+        edits = [
+            (sents[:-1], f"prediction has {n - 1} sentences, gold has {n}"),
+            (sents + [["extra\tT00\tT00"]], f"prediction has {n + 1} sentences, gold has {n}"),
+            (sents[:5] + [sents[5][1:]] + sents[6:],
+             f"sentence 5: prediction has {len(sents[5]) - 1} tokens, gold has {len(sents[5])}"),
+            (sents[:last] + [sents[last][:-1] + ["zzz\tT00\tT00"]],
+             f"sentence {last} token {len(sents[last]) - 1}: "
+             f"surface 'zzz' != {words[last][-1]!r}"),
+            # a surface before a length mismatch in a later sentence is named first
+            (sents[:3] + [["zzz\tT00\tT00"] + sents[3][1:]] + sents[4:6] + [sents[6] * 2] + sents[7:],
+             f"sentence 3 token 0: surface 'zzz' != {words[3][0]!r}"),
+        ]
+        monkeypatch.setattr(tagset, "_BLOCK_SIZE", size)
+        bad = tmp_path / "bad.tagged"
+        for edited, message in edits:
+            bad.write_text("".join("\n".join(s) + "\n\n" for s in edited), encoding="utf-8")
+            assert main(["eval", "--pred", str(bad), "--gold", p["gold"], *res]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_one_manifest_per_run(bench_dir, tmp_path, capsys, monkeypatch):
@@ -719,7 +827,7 @@ class TestTagFailuresInsideAChunk:
 
     def test_output_does_not_depend_on_the_chunk_size(self, setup, capsys, monkeypatch):
         # at the default size all six sentences are one chunk; at one cell
-        # every sentence is a chunk by itself
+        # every sentence is a chunk by itself; a failed run writes no output
         from hmmtagger import model as model_module
 
         *_, args, out = setup
@@ -729,15 +837,18 @@ class TestTagFailuresInsideAChunk:
             runs = []
             for cells in (default, 1):
                 monkeypatch.setattr(model_module, "CHUNK_CELLS", cells)
-                runs.append((main(args[:1] + flags + args[1:]), out.read_bytes(),
+                out.unlink(missing_ok=True)
+                runs.append((main(args[:1] + flags + args[1:]),
+                             out.read_bytes() if out.exists() else None,
                              *capsys.readouterr()))
                 assert runs[-1][0] == code
             assert runs[0] == runs[1], flags
 
     def test_without_the_flag_the_first_failing_sentence_is_named(self, setup, capsys):
-        model, ts, lex, args, out = setup
+        *_, args, out = setup
         assert main(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: sentence 2: all tag states die at position 1"
-        # the sentences before it are written, as they are without chunks
-        assert out.read_text(encoding="utf-8") == self.expected(model, ts, lex, [0, 1])
+        # a failed run leaves no partial output, and no temporary file, behind
+        assert not out.exists()
+        assert not [name for name in os.listdir(out.parent) if name.endswith(".tmp")]

@@ -1,7 +1,9 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hmmtagger import tagset
 from hmmtagger.corpusio import (
     default_abbreviations,
     read_pretokenized,
@@ -10,8 +12,9 @@ from hmmtagger.corpusio import (
     write_pretokenized,
     write_tagged,
 )
-from hmmtagger.errors import DataError, FormatError
+from hmmtagger.errors import DataError, FormatError, TaggerError
 from hmmtagger.tagset import load_tagset
+from oracles import plain_read_pretokenized, plain_read_tagged
 
 
 class TestReadPretokenized:
@@ -174,3 +177,95 @@ class TestTagged:
         write_tagged(path, [[("Der", 0)], [("Hund", 1), (".", 2)]], ts)
         sents = list(read_tagged(path, ts))
         assert sents == [[("Der", 0)], [("Hund", 1), (".", 2)]]
+
+
+_TAGS = load_tagset(io.StringIO("ART\tarticle\nNN\tnoun\n$.\tstop\n"))
+_LABELS = ["ART", "NN", "$."]
+_WORDS = ["Der", "Hund", "#", ".", "größer", "a b"]
+
+
+def _no_tab(line):
+    return line.split(b"\t")[0]
+
+
+def _empty_token(line):
+    return b"\t" + line.split(b"\t", 1)[1]
+
+
+def _unknown_tag(line):
+    return line.split(b"\t")[0] + b"\tNOPE"
+
+
+def _other_width(line):  # two columns become three and three two
+    fields = line.split(b"\t")
+    return b"\t".join(fields[:2] + ([fields[1]] if len(fields) == 2 else []))
+
+
+def _bad_byte(line):
+    return line + b"\xff"
+
+
+_TAGGED_FAULTS = [_no_tab, _empty_token, _unknown_tag, _other_width, _other_width, _bad_byte,
+                  lambda line: line.split(b"\t")[0] + b"\tART\tNN",  # lacks its tag
+                  lambda line: line.split(b"\t")[0] + b"\tART\tART+NOPE",
+                  lambda line: line.split(b"\t")[0] + b"\tART\tART\tNN"]
+_UNTAGGED_FAULTS = [_bad_byte, lambda line: line + b"\tx", lambda line: b"\t" + line]
+
+
+@st.composite
+def _corpora(draw, tagged):
+    """A corpus file's bytes: sentences of two or three columns (or words),
+    runs of blank lines, LF and CRLF endings, maybe no final line break,
+    and up to two broken lines."""
+    lines = [b""] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([2, 3]))
+        for _ in range(draw(st.sampled_from([1, 2, 3, 4, 5]))):
+            line = draw(st.sampled_from(_WORDS))
+            if tagged:
+                tag = draw(st.sampled_from(_LABELS))
+                line += f"\t{tag}"
+                if width == 3:
+                    others = draw(st.lists(st.sampled_from(_LABELS), max_size=2))
+                    line += "\t" + "+".join(draw(st.permutations([tag, *others])))
+            lines.append(line.encode())
+        lines += [b""] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        while lines and not lines[-1]:
+            lines.pop()
+    tokens = [i for i, line in enumerate(lines) if line]
+    for _ in range(min(draw(st.integers(0, 2)), len(tokens))):
+        i = draw(st.sampled_from(tokens))
+        tokens.remove(i)
+        lines[i] = draw(st.sampled_from(_TAGGED_FAULTS if tagged else _UNTAGGED_FAULTS))(lines[i])
+    ends = [draw(st.sampled_from([b"\n", b"\r\n"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, data):
+    try:
+        return list(read(io.BytesIO(data)))
+    except TaggerError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "pretokenized"])
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(data=st.data())
+def test_block_parsers_match_the_line_readers(tagged, data):
+    """Sentences, or the exception type and message, equal those of reading
+    one line at a time, at block sizes that cut sentences, and lines, at
+    every edge."""
+    text = data.draw(_corpora(tagged))
+    if tagged:
+        read, plain = (lambda f: read_tagged(f, _TAGS)), (lambda f: plain_read_tagged(f, _TAGS))
+    else:
+        read, plain = read_pretokenized, plain_read_pretokenized
+    want = _outcome(plain, text)
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (1, 7, 64, tagset._BLOCK_SIZE):
+            mp.setattr(tagset, "_BLOCK_SIZE", size)
+            assert _outcome(read, text) == _outcome(plain, text), size
+    assert _outcome(read, text) == want
