@@ -11,6 +11,10 @@ Subcommands:
 Every subcommand starts with ``_start``, which checks the run's input and
 output files before any work and echoes the run manifest for
 reproducibility.  Exit codes: 0 success, 1 usage problem, 2 data problem.
+
+``tag`` streams its input a chunk (``model.chunks``) at a time, each as
+columns: classified in one call, decoded at once (``decode_columns``) and
+written in one ``write``, so it holds one chunk's columns and one block.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ import os
 import secrets
 import stat
 import sys
+from itertools import chain, compress
 
 import numpy as np
 
 from . import synth as synthmod
 from .corpusio import (class_signatures, read_pretokenized, read_tagged, read_tagged_blocks,
-                       tokenize_raw, write_pretokenized, write_tagged)
-from .decoder import decode
-from .errors import DataError, TaggerError
+                       tokenize_raw, write_columns, write_pretokenized, write_tagged)
+from .decoder import decode_columns
+from .errors import TaggerError
 from .evaluation import aligned_blocks, load_major_classes, profile_columns
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
 from .model import chunks, load_biases, load_model, save_model
@@ -182,25 +187,29 @@ def cmd_tag(args) -> int:
     classes_of = _load_resources(inputs, ts, store)
 
     reader = read_pretokenized if args.pretokenized else tokenize_raw
-    signatures = class_signatures(ts, store) if args.with_class else None
+    signatures = np.array(class_signatures(ts, store), dtype=object) if args.with_class else None
     skipped = []
 
-    def tagged():  # decoded sentences, as write_tagged rows, in input order
+    def write(stream):  # each chunk as columns: classified, decoded and written at once
         for first, chunk in chunks(reader(inputs["input"]), model.max_class_size):
-            classes = [classes_of(words) for words in chunk]
-            for i, result in enumerate(decode(model, classes)):
-                if isinstance(result, DataError):
-                    if not args.skip_impossible:
-                        raise result.at_sentence(first + i)
-                    skipped.append(first + i)
-                    print(f"warning: sentence {first + i} skipped: {result}", file=sys.stderr)
-                elif signatures is None:
-                    yield list(zip(chunk[i], result.tags))
-                else:
-                    yield list(zip(chunk[i], result.tags,
-                                   [signatures[c] for c in classes[i].tolist()]))
+            words = list(chain.from_iterable(chunk))
+            lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+            classes = classes_of(words)
+            tags, _, errors = decode_columns(model, classes, lengths)
+            for i in sorted(errors):
+                if not args.skip_impossible:
+                    raise errors[i].at_sentence(first + i)
+                skipped.append(first + i)
+                print(f"warning: sentence {first + i} skipped: {errors[i]}", file=sys.stderr)
+            if errors:
+                kept = np.isin(np.arange(len(chunk)), list(errors), invert=True)
+                tokens = np.repeat(kept, lengths)
+                words, classes = list(compress(words, tokens)), classes[tokens]
+                lengths = lengths[kept]
+            write_columns(stream, ts, lengths, words, tags,
+                          None if signatures is None else signatures[classes])
 
-    _write_whole(args.output, lambda stream: write_tagged(stream, tagged(), ts))
+    _write_whole(args.output, write)
     if skipped:
         print(f"warning: {len(skipped)} sentence(s) skipped", file=sys.stderr)
     return EXIT_OK

@@ -268,16 +268,26 @@ def _text_sink(sink):
 
 
 def write_tagged(sink, sentences, ts: TagSet) -> None:
-    """The inverse of read_tagged, one ``write`` per sentence.  A sentence's
-    first row, a pair or a triple, decides its number of columns."""
-    labels = ts.labels
+    """The inverse of read_tagged, one ``write`` per sentence (whose rows
+    are all pairs or all triples) through ``write_columns``."""
     with _text_sink(sink) as stream:
         for sentence in sentences:
-            if sentence and len(sentence[0]) == 3:
-                lines = [f"{word}\t{labels[tag]}\t{sig}\n" for word, tag, sig in sentence]
-            else:
-                lines = [f"{word}\t{labels[tag]}\n" for word, tag in sentence]
-            stream.write("".join(lines) + "\n")
+            write_columns(stream, ts, [len(sentence)], *(list(zip(*sentence)) or [(), ()]))
+
+
+def write_columns(stream, ts: TagSet, lengths, words, tags, signatures=None) -> None:
+    """Write sentences of the given ``lengths`` in one ``write``, a blank
+    line after each, from the columns of their tokens, one sentence after
+    the other: ``words``, tag ids ``tags`` and, if given, ``signatures``."""
+    k, end = (2, "\n") if signatures is None else (4, "\t")  # cells per token, after the tag
+    labels = np.array([f"\t{label}{end}" for label in ts.labels], dtype=object)
+    cells = np.full(len(words) * k + len(lengths), "\n", dtype=object)
+    at = np.arange(0, cells.size - len(lengths), k) + np.repeat(np.arange(len(lengths)), lengths)
+    cells[at] = words
+    cells[at + 1] = labels[np.asarray(tags, dtype=np.intp)]
+    if signatures is not None:
+        cells[at + 2] = signatures
+    stream.write("".join(cells.tolist()))
 
 
 def write_pretokenized(sink, sentences) -> None:

@@ -17,12 +17,14 @@ a class's members are stored in ascending tag order and the padding, whose
 scores are -inf, sorts last: ``argmax`` over slots returns the first
 maximal slot, which holds the lowest maximal tag id.
 
-``decode`` takes a chunk of sentences (see ``model.chunks``), packed by
-``model.pack_chunk``.  Each position gathers the ``(k, K, K)``
-log-transitions between the slots of the ``k`` sentences still running
-there and their slots one position earlier, and runs one add and argmax
-over them; then every sentence backtracks at once.  A row of only -inf
-scores marks a dead sentence (``Packed.impossible``, as in the E-step).
+``decode_columns`` takes a chunk (see ``model.chunks``) as columns, its
+tokens' class ids and its sentences' lengths, laid out by ``model.layout``;
+``decode`` and ``viterbi`` are its per-sentence views.  Each position
+gathers the ``(k, K, K)`` log-transitions between the slots of the ``k``
+sentences still running there and their slots one position earlier, and
+runs one add and argmax over them; then every sentence backtracks at once.
+A row of only -inf scores marks a dead sentence (``Packed.impossible``, as
+in the E-step).
 
 A chunk whose longest sentence has more than ``model.SCAN_FROM`` tokens
 decodes as a segment scan in the max-plus semiring (Hassan, Särkkä and
@@ -79,7 +81,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .model import HmmModel, Packed, pack, pack_chunk
+from .model import HmmModel, Packed, columns, layout, scan_span
 
 _U = 2.0 ** -53  # the unit roundoff of float64
 
@@ -110,48 +112,54 @@ def decode(model: HmmModel, sentences: Sequence[Sequence[int]]) -> list:
 
     Returns one entry per sentence, in order: its Decoding, or the
     DataError that ``viterbi`` would raise for it (``sentence_index`` is
-    its index in the chunk).  Memory grows with the chunk; a corpus is
-    streamed through ``model.chunks(corpus, model.max_class_size)``.  A
-    chunk that the segment scan decodes also keeps the ``(segments, K, K)``
-    max-plus products and one more row per segment, about 1/16 and 1/64 of a
+    its index in the chunk).  This is the per-sentence view of
+    ``decode_columns``.
+    """
+    ids, lengths, errors = columns(sentences)
+    tags, log_prob, errors = decode_columns(model, ids, lengths, errors)
+    lengths[list(errors)] = 0
+    paths = np.split(tags, np.cumsum(lengths)[:-1])
+    return [errors[i] if i in errors else Decoding(tuple(path.tolist()), p)
+            for i, (path, p) in enumerate(zip(paths, log_prob.tolist()))]
+
+
+def decode_columns(model: HmmModel, ids: np.ndarray, lengths: np.ndarray, errors=None):
+    """Decode a chunk given as its tokens' class ids, one sentence after
+    the other, and its sentences' ``lengths`` (see ``model.layout``, which
+    also says what ``errors`` holds).
+
+    Returns the tags of the tokens of the sentences that decode, each
+    sentence's log-probability (meaningless for a failed one), and
+    ``{index in the chunk: DataError}`` for those that ``viterbi`` fails.
+    Memory grows with the chunk; a corpus is streamed through
+    ``model.chunks(corpus, model.max_class_size)``.  A chunk that the
+    segment scan decodes also keeps the ``(segments, K, K)`` max-plus
+    products and one more row per segment, about 1/16 and 1/64 of a
     per-token array at ``K`` = 4 and ``L`` = 64.
     """
-    packed = pack_chunk(model, sentences)
+    packed = layout(model, ids, lengths, errors, scan_span(lengths))
     if not packed.ids.size:
-        return [packed.errors.get(i) for i in range(len(sentences))]
+        return np.empty(0, dtype=np.intp), np.zeros(lengths.size), packed.errors
     tables = model.member_tables()
     kernel = _scan_packed if packed.start.any() else _decode_packed
-    results = _results(packed, *kernel(tables, packed))
-    redo = [i for i, result in enumerate(results) if result is None]
-    if redo:  # the sentences whose scanned path the certificate did not settle
-        again = pack(model, [sentences[i] for i in redo])
-        for i, result in zip(redo, _results(again, *_decode_packed(tables, again))):
-            results[i] = result
-    return results
+    tags, log_prob, errors = _paths(packed, *kernel(tables, packed))
+    decoded, rows = np.ones(lengths.size, dtype=bool), packed.sentence_lengths()
+    decoded[list(errors)] = False
+    redo = decoded & np.isnan(log_prob)  # the paths the scan's certificate did not settle
+    if redo.any():
+        tokens = np.repeat(redo, rows)
+        again = layout(model, packed.ids[packed.rows[tokens]], rows[redo])
+        tags[tokens], log_prob[redo], _ = _paths(again, *_decode_packed(tables, again))
+    return tags[np.repeat(decoded, rows)], log_prob, errors
 
 
-def _results(packed: Packed, path, score) -> list:
-    """One entry per chunk sentence, from a kernel's tag and slot scores at
-    each row: its Decoding, its DataError, or None where its best score at
-    its last row is NaN."""
+def _paths(packed: Packed, path, score):
+    """From a kernel's output: each row's tag, each sentence's best score at
+    its last row (NaN where the certificate does not settle it) and errors."""
     best = score.max(axis=1)
-    impossible = packed.impossible(best == -np.inf)
-    lengths = packed.sentence_lengths()
-    ends = np.cumsum(lengths)
-    tags = path[packed.rows].tolist()
+    errors = {**packed.errors, **packed.impossible(best == -np.inf)}
     # the score at each sentence's last row (an invalid one's index is unused)
-    log_prob = best[packed.rows[ends - 1]].tolist()
-    results: list = []
-    for i, (end, length) in enumerate(zip(ends.tolist(), lengths.tolist())):
-        if not length:
-            results.append(packed.errors[i])
-        elif i in impossible:
-            results.append(impossible[i])
-        elif log_prob[i] != log_prob[i]:  # NaN
-            results.append(None)
-        else:
-            results.append(Decoding(tuple(tags[end - length:end]), log_prob[i]))
-    return results
+    return path[packed.rows], best[packed.rows[np.cumsum(packed.sentence_lengths()) - 1]], errors
 
 
 def _first_scores(tables, packed: Packed):

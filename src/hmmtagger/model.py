@@ -16,6 +16,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Optional
 
@@ -67,7 +68,7 @@ class HmmModel:
         self.emission = _read_only(np.array(emission, dtype=np.float64))
         self.transition_zero_mask = _read_only(np.array(transition_zero_mask, dtype=bool))
         try:
-            self._allowed = _read_only(membership_mask(n, self.class_members))
+            self._allowed = membership_mask(n, self.class_members)
         except ConfigError as exc:
             raise ValueError(str(exc)) from None
         for name, shape in (("initial", (n,)), ("transition", (n, n)),
@@ -259,13 +260,10 @@ class Packed(NamedTuple):
         return cut, running, by, np.cumsum([0, *np.bincount(index)]).tolist()
 
 
-def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
-    """Validate a chunk of sentences of class ids and lay it out (``Packed``),
-    each sentence longer than ``span + 1`` tokens as segments.
-
-    A sentence is invalid if it is empty or not one-dimensional, if its ids
-    are not of an integer dtype, or if it holds a class id ``model`` does
-    not have, of which the first is named."""
+def columns(sentences):
+    """A chunk of sentences of class ids as columns: the ids of its valid
+    sentences, one after the other, each sentence's length (0 if invalid:
+    empty, not one-dimensional, or of no integer dtype) and their errors."""
     seqs = [np.asarray(s) for s in sentences]
     lengths = np.array([s.size if s.ndim == 1 and s.dtype.kind in "iu" else 0 for s in seqs],
                        dtype=np.intp)
@@ -274,22 +272,40 @@ def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
                            if seqs[i].ndim != 1 or not seqs[i].size
                            else f"class ids must be integers, not {seqs[i].dtype}", i)
               for i in np.flatnonzero(lengths == 0).tolist()}
-    flat = np.concatenate([s for s, n in zip(seqs, lengths.tolist()) if n]
-                          or [np.empty(0, dtype=np.intp)], dtype=np.intp)
+    valid = [s for s, n in zip(seqs, lengths.tolist()) if n] or [np.empty(0, dtype=np.intp)]
+    ids = np.concatenate(valid)
+    if ids.dtype.kind not in "iu":  # numpy reads int64 and uint64 together as float64
+        ids = np.concatenate(valid, dtype=object)
+    return ids, lengths, errors
+
+
+def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
+    """``layout`` of a chunk of sentences of class ids, validated by
+    ``columns``, each sentence longer than ``span + 1`` tokens as segments."""
+    return layout(model, *columns(sentences), span)
+
+
+def layout(model: HmmModel, ids: np.ndarray, lengths, errors: Optional[dict] = None,
+           span: Optional[int] = None) -> Packed:
+    """Lay out (``Packed``) the chunk of sentences of the given ``lengths``
+    whose integer class ``ids`` follow one another, each sentence longer than
+    ``span + 1`` tokens as segments.  A sentence of length 0 is invalid, its
+    DataError given in ``errors``; so is one holding a class id ``model``
+    does not have, of which the first is named as given, with its position."""
+    errors = {} if errors is None else errors
+    lengths = np.array(lengths, dtype=np.intp)  # a copy: an invalid sentence's becomes 0
     owner = np.repeat(np.arange(lengths.size), lengths)
-    position = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    # viewed as unsigned, a negative id is larger than any valid one, and an
-    # unsigned id of 2**63 or more, which the cast made negative, is itself
-    bad = np.flatnonzero(flat.view(np.uintp) >= model.n_classes)
+    position = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    bad = np.flatnonzero((ids < 0) | (ids >= model.n_classes))
     if bad.size:
         invalid, first = np.unique(owner[bad], return_index=True)
         for i, cell in zip(invalid.tolist(), bad[first].tolist()):
-            # named as given, not as cast
-            errors[i] = DataError(f"unknown class id {int(seqs[i][position[cell]])} "
+            errors[i] = DataError(f"unknown class id {int(ids[cell])} "
                                   f"at position {position[cell]}", i)
         keep = ~np.isin(owner, invalid)
-        flat, owner, position = flat[keep], owner[keep], position[keep]
+        ids, owner, position = ids[keep], owner[keep], position[keep]
         lengths[invalid] = 0
+    flat = ids.astype(np.intp, copy=False)
     sentence = np.arange(lengths.size)  # of each segment
     start = np.zeros(lengths.size, dtype=np.intp)
     if span:
@@ -319,14 +335,15 @@ def pack(model: HmmModel, sentences, span: Optional[int] = None) -> Packed:
                   errors)
 
 
+def scan_span(lengths) -> Optional[int]:
+    """The kernels' span for a chunk of sentences of these ``lengths``."""
+    return SEGMENT if lengths.max(initial=0) > SCAN_FROM else None
+
+
 def pack_chunk(model: HmmModel, sentences) -> Packed:
-    """``pack`` for the kernels: in segments of ``SEGMENT`` transitions where
-    the chunk's longest sentence has more than ``SCAN_FROM`` tokens."""
-    try:
-        longest = max(map(len, sentences), default=0)
-    except TypeError:  # a sentence without a length, which ``pack`` reports
-        longest = 0
-    return pack(model, sentences, SEGMENT if longest > SCAN_FROM else None)
+    """``pack`` for the kernels, with the span ``scan_span`` gives."""
+    ids, lengths, errors = columns(sentences)
+    return layout(model, ids, lengths, errors, scan_span(lengths))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -342,10 +359,16 @@ def _safe_log(a: np.ndarray) -> np.ndarray:
 
 def membership_mask(n_tags: int, class_members) -> np.ndarray:
     """Boolean (n_tags, n_classes): True where the tag belongs to the class.
+    Built once per inventory, and read-only as it is shared.
 
     Raises ConfigError for a member that is not a tag id below ``n_tags``,
     and for a class that is empty, repeats a tag, or equals an earlier class.
     """
+    return _membership_mask(n_tags, tuple(map(tuple, class_members)))
+
+
+@lru_cache
+def _membership_mask(n_tags: int, class_members: tuple) -> np.ndarray:
     mask = np.zeros((n_tags, len(class_members)), dtype=bool)
     first: dict[frozenset, int] = {}
     for c, members in enumerate(class_members):
@@ -358,7 +381,7 @@ def membership_mask(n_tags: int, class_members) -> np.ndarray:
         if first.setdefault(key, c) != c:
             raise ConfigError(f"class {c} equals class {first[key]}")
         mask[list(members), c] = True
-    return mask
+    return _read_only(mask)
 
 
 def uniform_model(ts: TagSet, classes) -> HmmModel:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the dynamic-programming algorithms,
-and the plain lexicon loader, unknown-word guesser and line-by-line corpus
-readers that the fast ones must agree with.
+and the plain lexicon loader, unknown-word guesser, line-by-line corpus
+readers and sentence-at-a-time tagger that the fast ones must agree with.
 
 Everything here enumerates paths explicitly and never calls the code under
-test.  Floating-point additions are accumulated left to right, position by
+test; ``plain_tag`` decodes with the per-sentence decoder it is given.
+Floating-point additions are accumulated left to right, position by
 position, matching the association order of the implementations, so exact
 tie comparisons are meaningful.
 """
@@ -314,3 +315,33 @@ def plain_read_tagged(source, ts):
         sentence.append((surface, tag, signature) if sep else (surface, tag))
     if sentence:
         yield sentence
+
+
+def plain_tag(viterbi, model, ts, sentences, classes_of, signatures=None,
+              skip_impossible=False):
+    """What ``hmmtagger tag`` gives for ``sentences`` of words, each
+    classified by ``classes_of``, decoded alone by ``viterbi`` and written
+    a line per token, as the tagger did one sentence at a time.
+
+    Returns ``(text, stderr lines, exit code)``; ``text`` is None where the
+    run fails.  With ``signatures`` (by class id) each line gains its
+    token's class signature.  A sentence that fails is skipped, with a
+    warning, under ``skip_impossible``, and otherwise fails the run.
+    """
+    lines, warnings = [], []
+    for i, words in enumerate(sentences):
+        classes = classes_of(words)
+        try:
+            tags = viterbi(model, classes).tags
+        except DataError as exc:
+            if not skip_impossible:
+                return None, [f"error: sentence {i}: {exc}"], 2
+            warnings.append(f"warning: sentence {i} skipped: {exc}")
+            continue
+        for word, tag, c in zip(words, tags, classes):
+            column = "" if signatures is None else f"\t{signatures[c]}"
+            lines.append(f"{word}\t{ts.label(tag)}{column}\n")
+        lines.append("\n")
+    if warnings:
+        warnings.append(f"warning: {len(warnings)} sentence(s) skipped")
+    return "".join(lines), warnings, 0

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmmtagger import cli, tagset
 from hmmtagger import model as model_module
@@ -852,3 +855,106 @@ class TestTagFailuresInsideAChunk:
         # a failed run leaves no partial output, and no temporary file, behind
         assert not out.exists()
         assert not [name for name in os.listdir(out.parent) if name.endswith(".tmp")]
+
+
+class TestTagAgainstThePlainTagger:
+    """``hmmtagger tag`` classifies, decodes and writes a chunk at a time;
+    its output, warnings and exit code are those of tagging one sentence at
+    a time (``oracles.plain_tag``), whatever the chunk, block and segment
+    sizes."""
+
+    # A -> B is prohibited, so "x y" is impossible; q's class (A C) is in the
+    # tagging lexicon only, so the model never saw it; unknown words are guessed
+    LEXICON = "x\tA\ny\tB\nz\tA B\nw\tB C\nv\tC\n.\tC\n"
+    PIECES = ["x", "y", "z", "w", "v", "q", "Neu", "neu", "x y"]
+
+    @pytest.fixture(scope="class")
+    def resources(self, tmp_path_factory):
+        from hmmtagger.lexicon import load_guesser_rules
+
+        root = tmp_path_factory.mktemp("plain")
+        files = {"tags": "A\ta\nB\tb\nC\tc\n", "lex": self.LEXICON,
+                 "grown": self.LEXICON + "q\tA C\n", "rules": "DEFAULT U A\nDEFAULT L B C\n"}
+        for ext, text in files.items():
+            (root / f"t.{ext}").write_text(text, encoding="utf-8")
+        ts = load_tagset(str(root / "t.tags"))
+        trained = ClassStore()
+        load_lexicon(str(root / "t.lex"), ts, trained)
+        load_guesser_rules(str(root / "t.rules"), ts, trained)
+        return root, ts, tuple(trained)
+
+    @staticmethod
+    def model(ts, classes, seed, coarse):
+        """A random model over ``classes`` with A -> B prohibited; with
+        ``coarse`` probabilities, many paths tie exactly."""
+        from hmmtagger.model import BiasSet, HmmModel, TransitionBias, apply_biases
+
+        rng = np.random.default_rng(seed)
+
+        def weights(size):
+            return rng.integers(1, 3, size) if coarse else rng.random(size) + 0.1
+
+        emission = np.zeros((3, len(classes)))
+        for c, members in enumerate(classes):
+            emission[list(members), c] = weights(len(members))
+        emission /= emission.sum(axis=1, keepdims=True)
+        transition = np.array([weights(3) for _ in range(3)], dtype=float)
+        initial = weights(3).astype(float)
+        return apply_biases(
+            HmmModel(ts.labels, classes, initial / initial.sum(),
+                     transition / transition.sum(axis=1, keepdims=True), emission),
+            BiasSet([TransitionBias(0, 1, 0.0)], ()))
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(data=st.data())
+    def test_tag_equals_tagging_one_sentence_at_a_time(self, resources, data):
+        from hmmtagger import decoder
+        from hmmtagger.lexicon import load_guesser_rules
+        from hmmtagger.model import save_model
+
+        from oracles import plain_read_pretokenized, plain_tag
+
+        root, ts, classes = resources
+        model = self.model(ts, classes, data.draw(st.integers(0, 2 ** 16)),
+                           data.draw(st.booleans()))
+        save_model(model, str(root / "t.model"))
+        sentences = [" ".join(s).split() for s in data.draw(st.lists(
+            st.lists(st.sampled_from(self.PIECES), min_size=1, max_size=6), max_size=10))]
+        pretokenized, with_class, skip = (data.draw(st.booleans()) for _ in range(3))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        if pretokenized:
+            text = "".join(end.join(s) + end * data.draw(st.integers(2, 4)) for s in sentences)
+        else:  # each sentence ends in a "." that the tokenizer detaches
+            text = "".join(" ".join(s) + "." + data.draw(st.sampled_from([" ", end]))
+                           for s in sentences)
+            sentences = [s + ["."] for s in sentences]
+        source, out = root / "in.txt", root / "out.tagged"
+        source.write_bytes(text.encode("utf-8"))
+        if pretokenized:
+            assert list(plain_read_pretokenized(str(source))) == sentences
+
+        store = ClassStore.from_members(model.class_members)
+        lex = load_lexicon(str(root / "t.grown"), ts, store)
+        rules = load_guesser_rules(str(root / "t.rules"), ts, store)
+        want = plain_tag(decoder.viterbi, model, ts, sentences,
+                         lambda words: [classify(lex, rules, w) for w in words],
+                         class_signatures(ts, store) if with_class else None, skip)
+
+        flags = ["--pretokenized"] * pretokenized + ["--with-class"] * with_class \
+            + ["--skip-impossible"] * skip
+        args = ["tag", "--model", str(root / "t.model"), "--tagset", str(root / "t.tags"),
+                "--lexicon", str(root / "t.grown"), "--rules", str(root / "t.rules"), *flags,
+                str(source), str(out)]
+        span = data.draw(st.sampled_from([None, 2, 3]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "CHUNK_CELLS", data.draw(st.sampled_from([1, 5, 12, 2 ** 15])))
+            mp.setattr(tagset, "_BLOCK_SIZE", data.draw(st.sampled_from([1, 7, 64, 2 ** 15])))
+            if span:  # every sentence of more than span + 1 tokens is scanned
+                mp.setattr(model_module, "SEGMENT", span)
+                mp.setattr(model_module, "SCAN_FROM", span + 1)
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+        got_text = out.read_bytes().decode("utf-8") if out.exists() else None
+        assert (got_text, err.getvalue().splitlines(), code) == want

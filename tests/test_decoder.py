@@ -564,3 +564,65 @@ class TestCertificate:
         assert not decoder._settled(runner_up + 0.95 * margin, runner_up, length).any()
         assert not decoder._settled(runner_up, runner_up, length).any()  # an exact tie
         assert decoder._settled(np.array([-5.0]), np.array([-np.inf]), length).all()
+
+
+class TestListView:
+    """``decode(model, sentences)`` is the per-sentence view of the column
+    decoder: each entry is what ``viterbi`` gives for its sentence alone,
+    with the same tags and log-probability bits, or the same error, its
+    ``sentence_index`` then the sentence's index in the chunk."""
+
+    INVALID = [[], [0.5, 1.0], np.array([[0, 1]]), np.array([1, 2 ** 63 + 5], dtype=np.uint64)]
+
+    def check(self, model, chunk):
+        got = decode(model, chunk)
+        assert len(got) == len(chunk)
+        for i, (g, sentence) in enumerate(zip(got, chunk)):
+            try:
+                want = viterbi(model, sentence)
+            except DataError as exc:
+                assert type(g) is type(exc)
+                assert (str(g), g.sentence_index, exc.sentence_index) == (str(exc), i, 0)
+                assert getattr(g, "position", None) == getattr(exc, "position", None)
+                continue
+            assert isinstance(g, Decoding) and g.tags == want.tags
+            assert np.float64(g.log_prob).tobytes() == np.float64(want.log_prob).tobytes()
+        return Counter(type(g).__name__ for g in got)
+
+    def mixed(self, rng, model, lengths):
+        """Sentences a path lives through, impossible and random ones, one
+        with an unknown class id and the invalid ones, shuffled."""
+        m = model.n_classes
+        chunk = [sample_sentence(rng, model, n) for n in lengths]
+        chunk += [rng.integers(m, size=n).tolist() for n in lengths]
+        chunk += [[0, m, 1], [-1, 0], *self.INVALID]
+        return [chunk[i] for i in rng.permutation(len(chunk))]
+
+    def test_a_chunk_the_scan_decodes(self, monkeypatch):
+        scanning(monkeypatch, 3)
+        scans = []
+        kernel = decoder._scan_packed
+        monkeypatch.setattr(decoder, "_scan_packed",
+                            lambda *a: scans.append(1) or kernel(*a))
+        rng = np.random.default_rng(24)
+        seen = Counter()
+        for _ in range(20):
+            model = heavily_prohibited(rng)
+            seen += self.check(model, self.mixed(rng, model, rng.integers(1, 30, size=6)))
+        assert len(scans) >= 20  # each chunk, and each long sentence alone
+        assert seen["Decoding"] >= 100 and seen["ImpossibleSequenceError"] >= 20
+        assert seen["DataError"] == 20 * 6
+
+    def test_a_chunk_where_the_certificate_falls_back(self, monkeypatch, fallbacks):
+        scanning(monkeypatch, 2)
+        # tags 2 and 3 tie exactly wherever class 0 is read; 0 -> 1 is prohibited
+        model = apply_biases(uniform_model(tiny_tagset(4), [(0, 1, 2, 3), (0,), (1,)]),
+                             BiasSet([TransitionBias(0, 1, 0.0)], ()))
+        rng = np.random.default_rng(7)
+        chunk = self.mixed(rng, model, [1, 4, 9, 12]) + [[0] * 10, [1, 2, 0, 0, 0]]
+        fallbacks.clear()
+        decode(model, chunk)
+        assert fallbacks and fallbacks[0] >= 2  # the tied sentences, decoded again
+        seen = self.check(model, chunk)
+        assert seen["ImpossibleSequenceError"] >= 1
+        assert decode(model, [[0] * 10])[0].tags == (2,) * 10  # the lowest tied tag
