@@ -15,6 +15,10 @@ reproducibility.  Exit codes: 0 success, 1 usage problem, 2 data problem.
 ``tag`` streams its input a chunk (``model.chunks``) at a time, each as
 columns: classified in one call, decoded at once (``decode_columns``) and
 written in one ``write``, so it holds one chunk's columns and one block.
+``train`` reads its corpora a block of sentences at a time, classifies each
+block in one call and trains on the columns (``training.Corpus`` and
+``training.TaggedCorpus``).  ``build_parser`` builds only the subcommand a
+command line names.
 """
 
 from __future__ import annotations
@@ -30,15 +34,17 @@ from itertools import chain, compress
 import numpy as np
 
 from . import synth as synthmod
-from .corpusio import (class_signatures, read_pretokenized, read_tagged, read_tagged_blocks,
-                       tokenize_raw, write_columns, write_pretokenized, write_tagged)
+from .corpusio import (class_signatures, read_pretokenized, read_pretokenized_blocks,
+                       read_tagged_blocks, tokenize_raw, write_columns, write_pretokenized,
+                       write_tagged)
 from .decoder import decode_columns
 from .errors import TaggerError
 from .evaluation import aligned_blocks, load_major_classes, profile_columns
 from .lexicon import ClassStore, classify, load_guesser_rules, load_lexicon
 from .model import chunks, load_biases, load_model, save_model
 from .tagset import load_tagset
-from .training import REGIMES, TrainingConfig, regime_iterations, train_regime
+from .training import (REGIMES, Corpus, TaggedCorpus, TrainingConfig, regime_iterations,
+                       train_regime)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,6 +126,16 @@ def _load_resources(inputs, ts, store):
     return classes_of
 
 
+def _joined(blocks, width: int) -> list[np.ndarray]:
+    """The ``width`` columns of ``blocks``, tuples of integer arrays, each
+    joined into one array."""
+    columns = [[np.empty(0, dtype=np.intp)] for _ in range(width)]
+    for block in blocks:
+        for column, part in zip(columns, block):
+            column.append(part)
+    return [np.concatenate(column) for column in columns]
+
+
 def cmd_train(args) -> int:
     if args.iters is not None and args.iters < 0:
         raise UsageError("--iters must be >= 0")
@@ -143,14 +159,13 @@ def cmd_train(args) -> int:
     ts, store = load_tagset(inputs["tagset"]), ClassStore()
     classes_of = _load_resources(inputs, ts, store)
     tagged = corpus = None
-    if "tagged" in inputs:
-        # one (tag, class) iterator per sentence: counted_init reads each once
-        tagged = []
-        for sentence in read_tagged(inputs["tagged"], ts):
-            words, tags, *_signature = zip(*sentence)
-            tagged.append(zip(tags, classes_of(words)))
+    if "tagged" in inputs:  # as columns, each block classified in one call
+        blocks = read_tagged_blocks(inputs["tagged"], ts)
+        tagged = TaggedCorpus(*_joined(
+            ((b.tags, classes_of(b.words), b.lengths) for b in blocks), 3))
     if "corpus" in inputs:
-        corpus = [classes_of(s) for s in read_pretokenized(inputs["corpus"])]
+        blocks = read_pretokenized_blocks(inputs["corpus"])
+        corpus = Corpus(*_joined(((classes_of(words), lengths) for words, lengths in blocks), 2))
 
     biases = load_biases(inputs["biases"], ts) if "biases" in inputs else None
     model, trajectory, skipped = train_regime(
@@ -308,12 +323,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hmmtagger",
-                     description="Class-based HMM part-of-speech tagging toolkit")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("train", help="train a model under one of three regimes")
+def _train_options(p) -> None:
     p.add_argument("--regime", required=True, choices=REGIMES)
     p.add_argument("--tagset", required=True)
     p.add_argument("--lexicon", required=True)
@@ -326,9 +336,9 @@ def build_parser() -> _Parser:
     p.add_argument("--skip-impossible", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("tag", help="tag text with a trained model")
+
+def _tag_options(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--tagset", required=True)
     p.add_argument("--lexicon", required=True)
@@ -340,9 +350,9 @@ def build_parser() -> _Parser:
     p.add_argument("--skip-impossible", action="store_true")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_tag)
 
-    p = sub.add_parser("eval", help="score predictions against gold and print the profile")
+
+def _eval_options(p) -> None:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--tagset", required=True)
@@ -351,9 +361,9 @@ def build_parser() -> _Parser:
     p.add_argument("--major-classes", required=True)
     p.add_argument("--top-k", type=int, default=20)
     p.add_argument("--json", help="also write the structured report here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", help="write a seeded synthetic benchmark")
+
+def _synth_options(p) -> None:
     p.add_argument("--tags", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--tokens", type=int, required=True)
@@ -361,12 +371,38 @@ def build_parser() -> _Parser:
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--ambiguity", type=float, default=1.5)
     p.add_argument("--max-class-size", type=int, default=4)
-    p.set_defaults(func=cmd_synth)
+
+
+# name: (help, options, command) of each subcommand
+SUBCOMMANDS = {
+    "train": ("train a model under one of three regimes", _train_options, cmd_train),
+    "tag": ("tag text with a trained model", _tag_options, cmd_tag),
+    "eval": ("score predictions against gold and print the profile", _eval_options, cmd_eval),
+    "synth": ("write a seeded synthetic benchmark", _synth_options, cmd_synth),
+}
+
+
+def build_parser(argv=None) -> _Parser:
+    """The command-line parser for ``argv``, the arguments it will parse.
+
+    Only the subcommand that ``argv[0]`` names is built, as the others
+    cannot be reached; all of them are for no arguments, ``-h`` or an
+    unknown name, whose help and errors list them.
+    """
+    parser = _Parser(prog="hmmtagger",
+                     description="Class-based HMM part-of-speech tagging toolkit")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS:
+        help_text, options, command = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        options(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -9,6 +9,8 @@ The canonical corpus formats are line-oriented UTF-8:
 A sentence is plain data: the untagged readers and the tokenizer yield it
 as a list of words, ``read_tagged`` as a list of ``(word, tag id)`` pairs
 (triples with a signature), and the writers take the same shapes back.
+``read_pretokenized_blocks`` and ``read_tagged_blocks`` yield the same
+corpora a block of whole sentences at a time, as columns.
 
 Corpora are parsed a block at a time.  ``tagset.decoded_blocks`` decodes
 about 32 KiB of whole lines in one call, as for config files: LF and CRLF
@@ -107,10 +109,19 @@ def read_pretokenized(source) -> Iterator[list[str]]:
     Blank lines end sentences; runs of blank lines collapse into a single
     break, and a trailing sentence is closed at end of input.  A token holds
     no TAB, which separates the columns of tagged output: a line with one
-    raises FormatError naming it.
+    raises FormatError naming it.  This is the per-sentence view of
+    ``read_pretokenized_blocks``.
     """
-    for words, lengths in sentence_blocks(source, _untagged):
+    for words, lengths in read_pretokenized_blocks(source):
         yield from _split(words, lengths)
+
+
+def read_pretokenized_blocks(source) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Read a one-token-per-line file (see ``read_pretokenized``) as the
+    columns of its whole sentences, one ``(words, lengths)`` pair per
+    decoded block: the words one sentence after the other, and each
+    sentence's number of words."""
+    return sentence_blocks(source, _untagged)
 
 
 _DETACH = set(".,!?;:\"')]}»”‘’")

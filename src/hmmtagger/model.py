@@ -160,7 +160,7 @@ CHUNK_CELLS = 2 ** 15
 
 # The E-step and the decoder cut each sentence longer than SEGMENT + 1 tokens
 # into segments of SEGMENT transitions (L), in a chunk whose longest sentence
-# has more than SCAN_FROM tokens (``pack_chunk``).  Their segment scans run
+# has more than SCAN_FROM tokens (``scan_span``).  Their segment scans run
 # about 3 L + 2 S (E-step) and 4 L + 2 S (decoder) steps of the Python loop
 # for sentences of S segments, in place of two per position; the E-step's
 # lost to them up to about 3 L tokens (one such sentence among 60 of 5-30).
@@ -185,6 +185,21 @@ def chunks(sentences: Iterable, width: int):
         cells += size
     if chunk:
         yield first, chunk
+
+
+def chunk_bounds(lengths, width: int) -> list[int]:
+    """The chunks that ``chunks`` cuts from sentences of these ``lengths``,
+    as bounds: chunk ``c`` holds sentences ``bounds[c]`` to
+    ``bounds[c + 1]``.  Each chunk ends where the cumulative cells of its
+    sentences would exceed ``CHUNK_CELLS``, found by one ``searchsorted``."""
+    cells = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(lengths, dtype=np.int64) * width, out=cells[1:])
+    bounds = [0]
+    while bounds[-1] < len(lengths):
+        first = bounds[-1]
+        end = int(np.searchsorted(cells, cells[first] + CHUNK_CELLS, side="right")) - 1
+        bounds.append(max(end, first + 1))
+    return bounds
 
 
 class Packed(NamedTuple):
@@ -338,12 +353,6 @@ def layout(model: HmmModel, ids: np.ndarray, lengths, errors: Optional[dict] = N
 def scan_span(lengths) -> Optional[int]:
     """The kernels' span for a chunk of sentences of these ``lengths``."""
     return SEGMENT if lengths.max(initial=0) > SCAN_FROM else None
-
-
-def pack_chunk(model: HmmModel, sentences) -> Packed:
-    """``pack`` for the kernels, with the span ``scan_span`` gives."""
-    ids, lengths, errors = columns(sentences)
-    return layout(model, ids, lengths, errors, scan_span(lengths))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

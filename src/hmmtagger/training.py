@@ -15,13 +15,22 @@ arbitrarily long sentences neither underflow nor overflow; the corpus
 log-likelihood is recovered from the scaling factors.
 
 The E-step (``expected_counts``) is packed and chunked, as decoding is.
-The corpus streams in chunks of consecutive sentences holding at most
-``model.CHUNK_CELLS`` cells (tokens x the kernel's width; ``model.chunks``),
-so a chunk's few working arrays stay small whatever the corpus size; a
-longer sentence is a chunk by itself.  Within a chunk the sentences are
-validated, sorted by length and laid out time-major (``model.pack``), and
-each position runs as one matrix product over every sentence still running
-there.  A scaling factor of 0 marks a dead sentence (``Packed.impossible``).
+Training takes a corpus as columns (``Corpus``): its tokens' class ids,
+one sentence after the other, and its sentences' lengths; ``hmmtagger
+train`` reads and classifies them a block of sentences at a time, and a
+list of sentences is read into them once.  The columns are cut into chunks
+of consecutive sentences holding at most ``model.CHUNK_CELLS`` cells
+(tokens x the kernel's width; ``model.chunk_bounds``), so a chunk's few
+working arrays stay small whatever the corpus size; a longer sentence is a
+chunk by itself.  Each chunk's sentences are validated, sorted by length and
+laid out time-major (``model.layout``) once per training run, not once per
+iteration: a run holds the class ids and, while iterations remain, one
+layout per chunk, and drops each layout as the last iteration uses it.
+Each position runs as one matrix product over every sentence still
+running there.  A scaling factor of 0 marks a dead sentence
+(``Packed.impossible``).  The counted start (``counted_init``) takes its
+tagged corpus as columns too (``TaggedCorpus``), checks them whole and
+counts each table with one ``np.bincount``.
 
 Two kernels share that bookkeeping, the scaling and the likelihood, and
 differ only in each position's product and in how they scatter the counts.
@@ -35,7 +44,7 @@ tokens runs as a two-level scan (Hassan, Särkkä and García-Fernández 2021,
 in its sequential-segment form), over the member kernel whatever the rule.
 Each of its sentences longer than ``L + 1`` tokens (``L = model.SEGMENT``,
 64) is cut into segments of ``L`` transitions that share their end
-positions, and ``model.pack_chunk`` lays the segments out as it lays out
+positions, and ``model.layout`` lays the segments out as it lays out
 sentences; the decoder scans the same segments in the max-plus semiring.
 The scan multiplies each segment's ``K x K`` transfer matrices (the
 transitions into a position times its emissions) for all segments at
@@ -52,12 +61,14 @@ and one more row per segment, about 1/16 and 1/64 of a per-token array at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .model import BiasSet, HmmModel, Packed, apply_biases, chunks, pack_chunk, uniform_model
+from .model import (BiasSet, HmmModel, Packed, apply_biases, chunk_bounds, columns, layout,
+                    scan_span, uniform_model)
 from .tagset import TagSet
 
 REGIME_BIAS = "bias"
@@ -107,8 +118,8 @@ class SufficientStats:
     Stats from distinct sentences add, so a corpus can be reduced in any
     grouping.  ``expected_counts`` adds one packed chunk of at most
     ``model.CHUNK_CELLS`` tokens x the kernel's width (``e_step_kernel``) at
-    a time into a single instance, so its memory is bounded by the chunk,
-    not the corpus.
+    a time into a single instance, so its working arrays are bounded by the
+    chunk, not the corpus.
     """
 
     def __init__(self, initial_counts, transition_counts, emission_counts, log_likelihood=0.0):
@@ -299,7 +310,7 @@ def _add_expected_counts(model: HmmModel, packed: Packed, into: SufficientStats)
 
 def _scan_boundaries(kernel, packed: Packed, alpha, beta) -> None:
     """Alpha at the first row and beta at the last row of every segment of
-    the sentences that ``pack`` cut into several, written into ``alpha``
+    the sentences that ``layout`` cut into several, written into ``alpha``
     and ``beta``; ``alpha`` holds each sentence's unscaled first row.
 
     The transfer matrices of a segment's positions, the transitions into
@@ -344,7 +355,7 @@ def _scan_boundaries(kernel, packed: Packed, alpha, beta) -> None:
 def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStats:
     """Expected initial/transition/emission counts for one sentence.
 
-    Runs the packed kernel of ``expected_counts`` on a one-sentence chunk;
+    Runs the packed kernel of ``expected_counts`` on a one-sentence corpus;
     ``log_likelihood`` is the exact (up to rounding) natural log of the
     sentence probability under ``model``.
 
@@ -352,7 +363,7 @@ def forward_backward(model: HmmModel, sentence: Sequence[int]) -> SufficientStat
     naming the first dead position, when no tag path has positive
     probability.
     """
-    packed = pack_chunk(model, [sentence])
+    (_, _, packed), = _Chunks(model, Corpus.of([sentence]), passes=1)
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
     failures = packed.errors or _add_expected_counts(model, packed, stats)
     if failures:
@@ -386,34 +397,63 @@ def _reestimate(model: HmmModel, stats: SufficientStats, floor: float) -> HmmMod
                     model.transition_zero_mask)
 
 
-def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
-                    skip_impossible: bool = False) -> tuple[SufficientStats, list[int]]:
-    """The E-step: expected counts and log-likelihood of a corpus under ``model``.
+class Corpus(NamedTuple):
+    """An untagged corpus as columns: the class ids of its tokens, one
+    sentence after the other, and each sentence's length.  A sentence of
+    length 0 is invalid, its DataError held in ``errors`` by its index (see
+    ``model.columns``)."""
 
-    Streams ``corpus`` in chunks of consecutive sentences of at most
-    ``CHUNK_CELLS`` tokens x width, where the width is ``K``, the size of the
-    largest class, for the member kernel and ``n_tags`` for the dense one
-    (``e_step_kernel``), and runs forward-backward over a whole chunk at
-    once, so the corpus itself is never held in memory.  Returns the stats
-    and the indices of the impossible sentences skipped.
+    ids: np.ndarray
+    lengths: np.ndarray
+    errors: Optional[dict] = None
 
-    The first failing sentence in corpus order raises, with its index
-    attached: an invalid sentence (see ``model.pack``), or an
-    impossible one, reported by its first dead position.  With
-    ``skip_impossible`` zero-probability sentences are dropped from the
-    counts instead.
-    """
+    @classmethod
+    def of(cls, corpus) -> "Corpus":
+        """``corpus`` if it is a Corpus, else its sentences of class ids as
+        columns (``model.columns``)."""
+        return corpus if isinstance(corpus, cls) else cls(*columns(corpus))
+
+
+class _Chunks:
+    """A corpus cut into the E-step's chunks of ``model``
+    (``model.chunk_bounds``) for ``passes`` passes over it.  Each chunk is
+    laid out (``model.layout``) once, and its layout is kept only while a
+    later pass will use it.  Iterating makes one pass and yields the first
+    sentence, the number of sentences and the layout of each chunk."""
+
+    def __init__(self, model: HmmModel, corpus: Corpus, passes: int):
+        self.model, self.corpus, self.passes, self.kept = model, corpus, passes, {}
+        self.bounds = chunk_bounds(corpus.lengths, e_step_kernel(model)[1])
+        ends = np.concatenate(([0], np.cumsum(corpus.lengths, dtype=np.intp)))
+        self.tokens = ends[self.bounds].tolist()  # the first token of each chunk
+
+    def __iter__(self):
+        self.passes -= 1
+        ids, lengths, errors = self.corpus
+        for c, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            packed = self.kept.pop(c, None)
+            if packed is None:
+                n = lengths[lo:hi]
+                packed = layout(self.model, ids[self.tokens[c]:self.tokens[c + 1]], n,
+                                {i - lo: e for i, e in (errors or {}).items() if lo <= i < hi},
+                                scan_span(n))
+            if self.passes:
+                self.kept[c] = packed
+            yield lo, hi - lo, packed
+
+
+def _e_step(model: HmmModel, chunked: _Chunks, skip_impossible: bool):
+    """``expected_counts`` over one pass of ``chunked``."""
     stats = SufficientStats.zeros(model.n_tags, model.n_classes)
     n_sentences = 0
     skipped: list[int] = []
-    for first, chunk in chunks(corpus, e_step_kernel(model)[1]):
-        packed = pack_chunk(model, chunk)
+    for first, n, packed in chunked:
         dead = _add_expected_counts(model, packed, stats)
         failures = packed.errors if skip_impossible else {**packed.errors, **dead}
         if failures:
             i = min(failures)
             raise failures[i].at_sentence(first + i)
-        n_sentences += len(chunk)
+        n_sentences += n
         skipped.extend(first + i for i in dead)
     if n_sentences == len(skipped):
         raise DataError("every training sentence was impossible"
@@ -421,26 +461,52 @@ def expected_counts(model: HmmModel, corpus: Iterable[Sequence[int]],
     return stats, skipped
 
 
-def baum_welch(model: HmmModel, corpus: Iterable[Sequence[int]], config: TrainingConfig,
+def expected_counts(model: HmmModel, corpus, skip_impossible: bool = False
+                    ) -> tuple[SufficientStats, list[int]]:
+    """The E-step: expected counts and log-likelihood of a corpus under ``model``.
+
+    ``corpus`` is a ``Corpus`` or its sentences of class ids.  It is cut
+    into chunks of consecutive sentences of at most ``CHUNK_CELLS`` tokens x
+    width (``model.chunk_bounds``), where the width is ``K``, the size of
+    the largest class, for the member kernel and ``n_tags`` for the dense
+    one (``e_step_kernel``), and forward-backward runs over a whole chunk at
+    once, so its working arrays stay the size of a chunk.  Returns the stats
+    and the indices of the impossible sentences skipped.
+
+    The first failing sentence in corpus order raises, with its index
+    attached: an invalid sentence (see ``model.columns`` and
+    ``model.layout``), or an impossible one, reported by its first dead
+    position.  With ``skip_impossible`` zero-probability sentences are
+    dropped from the counts instead.
+    """
+    return _e_step(model, _Chunks(model, Corpus.of(corpus), passes=1), skip_impossible)
+
+
+def baum_welch(model: HmmModel, corpus, config: TrainingConfig,
                on_iteration: Optional[Callable[[int, HmmModel, float], None]] = None,
                skip_impossible: bool = False) -> tuple[HmmModel, list[float], int]:
     """Expectation-maximization over a corpus of class sequences.
 
-    ``corpus`` must be re-iterable (a list, or a reader that restarts per
-    pass).  Returns ``(final_model, trajectory, skipped)`` where
-    ``trajectory[i]`` is the corpus log-likelihood under the model entering
-    iteration ``i``; with a smoothing floor of 0 the trajectory is
-    non-decreasing.
+    ``corpus`` is a ``Corpus`` or its sentences of class ids, read once.
+    Returns ``(final_model, trajectory, skipped)`` where ``trajectory[i]``
+    is the corpus log-likelihood under the model entering iteration ``i``;
+    with a smoothing floor of 0 the trajectory is non-decreasing.
 
     Each iteration's E-step is ``expected_counts``, which also describes the
     errors raised; with ``skip_impossible`` zero-probability sentences are
     dropped from the iteration's counts instead, and ``skipped`` is the
-    number of distinct sentences dropped in any iteration.
+    number of distinct sentences dropped in any iteration.  Each chunk is
+    laid out once per run, and its layout is held until the last iteration
+    has used it, so a run holds the corpus's class ids and, while
+    iterations remain, the layout of each chunk.
     """
     trajectory: list[float] = []
     skipped: set[int] = set()
+    if not config.iterations:
+        return model, trajectory, 0
+    chunked = _Chunks(model, Corpus.of(corpus), config.iterations)
     for iteration in range(config.iterations):
-        stats, dropped = expected_counts(model, corpus, skip_impossible)
+        stats, dropped = _e_step(model, chunked, skip_impossible)
         skipped.update(dropped)
         trajectory.append(stats.log_likelihood)
         model = _reestimate(model, stats, config.smoothing_floor)
@@ -449,59 +515,110 @@ def baum_welch(model: HmmModel, corpus: Iterable[Sequence[int]], config: Trainin
     return model, trajectory, len(skipped)
 
 
-def counted_init(tagged: Iterable[Sequence[tuple[int, int]]], ts: TagSet, classes,
-                 smoothing_floor: float = 1e-6) -> HmmModel:
+class TaggedCorpus(NamedTuple):
+    """A tagged corpus as columns: the gold tag ids and the class ids of its
+    tokens, one sentence after the other, and each sentence's length."""
+
+    tags: np.ndarray
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, tagged) -> "TaggedCorpus":
+        """``tagged`` if it is a TaggedCorpus, else its sentences of
+        ``(tag id, class id)`` pairs as columns."""
+        if isinstance(tagged, cls):
+            return tagged
+        sentences = [list(sentence) for sentence in tagged]
+        pairs = list(chain.from_iterable(sentences))
+        return cls(*_id_columns([tag for tag, _ in pairs], [class_id for _, class_id in pairs]),
+                   np.fromiter(map(len, sentences), np.intp, len(sentences)))
+
+
+def _id_columns(*values: list) -> list[np.ndarray]:
+    """The lists ``values`` as arrays of integers; as arrays of the objects
+    themselves where one of them is no integer (such as a bool, a float or a
+    str), or where numpy reads a list as no integer dtype."""
+    kinds = set(chain.from_iterable(map(type, v) for v in values))
+    if bool not in kinds and all(issubclass(kind, (int, np.integer)) for kind in kinds):
+        columns = [np.array(v, dtype=None if v else np.intp) for v in values]
+        if all(column.dtype.kind in "iu" for column in columns):
+            return columns
+    return [np.fromiter(v, object, len(v)) for v in values]
+
+
+def counted_init(tagged, ts: TagSet, classes, smoothing_floor: float = 1e-6) -> HmmModel:
     """Relative-frequency model from a tagged corpus: one re-estimation of
     ``uniform_model(ts, classes)`` from observed instead of expected counts.
 
-    ``tagged`` yields sentences of integer ``(tag_id, class_id)`` pairs;
-    each token's gold tag must be a member of its class, otherwise the
-    lexicon and the annotation disagree and a DataError names the offending
-    token, as it does a bad id.  The smoothing floor is added to every
-    structurally allowed cell before normalization so later re-estimation
-    can move off observed zeros; cells where the tag is not a class member
-    stay exactly 0.  Tags never observed keep the uniform rows.  ``classes``
-    is checked as ``uniform_model`` describes, and the floor as
-    ``TrainingConfig``'s.
+    ``tagged`` is a ``TaggedCorpus`` or its sentences of integer
+    ``(tag_id, class_id)`` pairs.  Each token's gold tag must be a member of
+    its class, otherwise the lexicon and the annotation disagree and a
+    DataError names the first offending token, as it does a bad id; the ids
+    are checked as whole columns, and only a bad token's are checked one by
+    one, to name it.  The counts are one ``np.bincount`` per table.  The
+    smoothing floor is added to every structurally allowed cell before
+    normalization so later re-estimation can move off observed zeros; cells
+    where the tag is not a class member stay exactly 0.  Tags never observed
+    keep the uniform rows.  ``classes`` is checked as ``uniform_model``
+    describes, and the floor as ``TrainingConfig``'s.
     """
     _check_floor(smoothing_floor)
     start = uniform_model(ts, classes)
     n, m = start.n_tags, start.n_classes
-    allowed_emis = start.allowed_emission_mask()
-    counts = SufficientStats.zeros(n, m)
-    n_sentences = 0
-    for s_index, sentence in enumerate(tagged):
-        prev = None
-        for t_index, (tag, class_id) in enumerate(sentence):
-            try:
-                if not 0 <= tag < n:
-                    raise DataError(f"sentence {s_index} token {t_index}: bad tag id {tag}")
-                if not 0 <= class_id < m:
-                    raise DataError(
-                        f"sentence {s_index} token {t_index}: unknown class id {class_id}")
-                allowed = allowed_emis[tag, class_id]
-                if allowed is not np.True_:
-                    if allowed is not np.False_:  # a bool id adds an axis, not a cell
-                        raise TypeError
-                    labels = "+".join(ts.label(t) for t in start.class_members[class_id])
-                    raise DataError(
-                        f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
-                        f"is not a member of the token's class {{{labels}}}"
-                    )
-            except (IndexError, TypeError, ValueError):  # a float, bool or str id
-                raise DataError(f"sentence {s_index} token {t_index}: tag and class ids must be "
-                                f"integers, not {tag!r} and {class_id!r}") from None
-            if prev is None:
-                counts.initial_counts[tag] += 1
-            else:
-                counts.transition_counts[prev, tag] += 1
-            counts.emission_counts[tag, class_id] += 1
-            prev = tag
-        if prev is not None:
-            n_sentences += 1
-    if n_sentences == 0:
+    tagged = TaggedCorpus.of(tagged)
+    tags, ids, lengths = tagged
+    if tags.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
+        _name_bad_token(tagged, range(tags.size), ts, start)
+    # an id of 2**63 or more wraps to a negative one, and is named as given
+    tags, ids = tags.astype(np.intp, copy=False), ids.astype(np.intp, copy=False)
+    bad = (tags < 0) | (tags >= n) | (ids < 0) | (ids >= m)
+    end = int(bad.argmax()) if bad.any() else tags.size  # the tokens before the first bad id
+    bad[:end] = ~start.allowed_emission_mask()[tags[:end], ids[:end]]
+    if bad.any():
+        _name_bad_token(tagged, [int(bad.argmax())], ts, start)
+    if not tags.size:
         raise DataError("tagged corpus is empty")
+    first = (np.cumsum(lengths) - lengths)[lengths > 0]  # each sentence's first token
+    pairs = tags[:-1] * n + tags[1:]  # of consecutive tokens, less those across sentences
+    crossing = tags[first[1:] - 1] * n + tags[first[1:]]
+    counts = SufficientStats(
+        np.bincount(tags[first], minlength=n),
+        (np.bincount(pairs, minlength=n * n) - np.bincount(crossing, minlength=n * n)
+         ).reshape(n, n),
+        np.bincount(tags * m + ids, minlength=n * m).reshape(n, m))
     return _reestimate(start, counts, smoothing_floor)
+
+
+def _name_bad_token(tagged: TaggedCorpus, tokens, ts: TagSet, start: HmmModel) -> None:
+    """Raise the DataError of the first bad one of the ``tokens`` of
+    ``tagged``, named by its sentence and position: a tag id outside the
+    tag set, a class id outside the inventory, a gold tag outside its class,
+    or an id that is no integer.  Return if none of them is bad."""
+    n, m, allowed_emis = start.n_tags, start.n_classes, start.allowed_emission_mask()
+    ends = np.cumsum(tagged.lengths)
+    for j in tokens:
+        tag, class_id = tagged.tags[j], tagged.ids[j]
+        s_index = int(np.searchsorted(ends, j, side="right"))
+        t_index = j - int(ends[s_index] - tagged.lengths[s_index])
+        try:
+            if not 0 <= tag < n:
+                raise DataError(f"sentence {s_index} token {t_index}: bad tag id {tag}")
+            if not 0 <= class_id < m:
+                raise DataError(
+                    f"sentence {s_index} token {t_index}: unknown class id {class_id}")
+            allowed = allowed_emis[tag, class_id]
+            if allowed is not np.True_:
+                if allowed is not np.False_:  # a bool id adds an axis, not a cell
+                    raise TypeError
+                labels = "+".join(ts.label(t) for t in start.class_members[class_id])
+                raise DataError(
+                    f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
+                    f"is not a member of the token's class {{{labels}}}"
+                )
+        except (IndexError, TypeError, ValueError):  # a float, bool or str id
+            raise DataError(f"sentence {s_index} token {t_index}: tag and class ids must be "
+                            f"integers, not {tag!r} and {class_id!r}") from None
 
 
 def regime_iterations(regime: str, given, iterations: Optional[int] = None,
@@ -536,8 +653,10 @@ def train_regime(regime: str, ts: TagSet, classes, *, corpus=None, tagged=None,
     """Run one of the three training regimes; returns
     ``(model, trajectory, skipped)`` as ``baum_welch`` does.
 
-    A regime picks the starting model and the default number of
-    re-estimation iterations (used when ``config`` is None); the inputs it
+    ``corpus`` is what ``baum_welch`` takes and ``tagged`` what
+    ``counted_init`` takes: columns, or sentences.  A regime picks the
+    starting model and the default number of re-estimation iterations (used
+    when ``config`` is None); the inputs it
     needs and rejects are checked by ``regime_iterations``.
     ``config.smoothing_floor`` applies to counted initialization as well as
     to re-estimation, and ``biases`` defaults to none (an empty bias set

@@ -345,3 +345,50 @@ def plain_tag(viterbi, model, ts, sentences, classes_of, signatures=None,
     if warnings:
         warnings.append(f"warning: {len(warnings)} sentence(s) skipped")
     return "".join(lines), warnings, 0
+
+
+def plain_counted_init(tagged, ts, classes, smoothing_floor=1e-6):
+    """``counted_init`` as it counted one token at a time: each pair is
+    checked, and then counted, in corpus order, so the first bad token
+    raises.  The uniform start and the re-estimation are the package's."""
+    from hmmtagger.model import uniform_model
+    from hmmtagger.training import SufficientStats, _check_floor, _reestimate
+
+    _check_floor(smoothing_floor)
+    start = uniform_model(ts, classes)
+    n, m = start.n_tags, start.n_classes
+    allowed_emis = start.allowed_emission_mask()
+    counts = SufficientStats.zeros(n, m)
+    n_sentences = 0
+    for s_index, sentence in enumerate(tagged):
+        prev = None
+        for t_index, (tag, class_id) in enumerate(sentence):
+            try:
+                if not 0 <= tag < n:
+                    raise DataError(f"sentence {s_index} token {t_index}: bad tag id {tag}")
+                if not 0 <= class_id < m:
+                    raise DataError(
+                        f"sentence {s_index} token {t_index}: unknown class id {class_id}")
+                allowed = allowed_emis[tag, class_id]
+                if allowed is not np.True_:
+                    if allowed is not np.False_:  # a bool id adds an axis, not a cell
+                        raise TypeError
+                    labels = "+".join(ts.label(t) for t in start.class_members[class_id])
+                    raise DataError(
+                        f"sentence {s_index} token {t_index}: gold tag {ts.label(tag)!r} "
+                        f"is not a member of the token's class {{{labels}}}"
+                    )
+            except (IndexError, TypeError, ValueError):  # a float, bool or str id
+                raise DataError(f"sentence {s_index} token {t_index}: tag and class ids must be "
+                                f"integers, not {tag!r} and {class_id!r}") from None
+            if prev is None:
+                counts.initial_counts[tag] += 1
+            else:
+                counts.transition_counts[prev, tag] += 1
+            counts.emission_counts[tag, class_id] += 1
+            prev = tag
+        if prev is not None:
+            n_sentences += 1
+    if n_sentences == 0:
+        raise DataError("tagged corpus is empty")
+    return _reestimate(start, counts, smoothing_floor)

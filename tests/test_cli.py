@@ -958,3 +958,172 @@ class TestTagAgainstThePlainTagger:
                 code = main(args)
         got_text = out.read_bytes().decode("utf-8") if out.exists() else None
         assert (got_text, err.getvalue().splitlines(), code) == want
+
+
+class TestTrainInColumns:
+    """``hmmtagger train`` reads, classifies and lays out its corpora as
+    columns; its model, log, warnings, errors and exit code are those of
+    ``train_regime`` over the same corpora as lists of sentences, whatever
+    the chunk and segment sizes."""
+
+    # A -> B is prohibited under the bias regime, so "x y" is impossible;
+    # unknown words are guessed ("Neu" as A, "neu" as B C)
+    LEXICON = "x\tA\ny\tB\nz\tA B\nw\tB C\nv\tC\n"
+    PIECES = ["x", "y", "z", "w", "v", "Neu", "neu", "x y"]
+    GOLD = {"x": "A", "y": "B", "z": "B", "w": "C", "v": "C", "Neu": "A", "neu": "B"}
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("columns")
+        files = {"tags": "A\ta\nB\tb\nC\tc\n", "lex": self.LEXICON,
+                 "rules": "DEFAULT U A\nDEFAULT L B C\n", "biases": "TRANS A B 0\n"}
+        for ext, text in files.items():
+            (root / f"t.{ext}").write_text(text, encoding="utf-8")
+        return root
+
+    @staticmethod
+    def run_cli(args, out):
+        for path in (out, out.with_name(out.name + ".log")):
+            path.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        if code:
+            return code, None, None, err.getvalue().splitlines()
+        log = out.with_name(out.name + ".log").read_text(encoding="utf-8").splitlines()
+        return code, out.read_bytes(), log[2:], err.getvalue().splitlines()
+
+    @staticmethod
+    def run_lists(root, regime, corpus, tagged, iters, smoothing, skip):
+        from hmmtagger.corpusio import read_pretokenized
+        from hmmtagger.errors import DataError
+        from hmmtagger.model import load_biases, save_model
+        from hmmtagger.training import TrainingConfig, train_regime
+
+        ts, store = load_tagset(str(root / "t.tags")), ClassStore()
+        classes_of = cli._load_resources(
+            {"lexicon": str(root / "t.lex"), "rules": str(root / "t.rules")}, ts, store)
+        tagged = tagged and [
+            list(zip([tag for _, tag in s], classes_of([word for word, _ in s]).tolist()))
+            for s in read_tagged(tagged, ts)]
+        corpus = corpus and [classes_of(s) for s in read_pretokenized(corpus)]
+        biases = load_biases(str(root / "t.biases"), ts) if regime == "bias" else None
+        try:
+            model, trajectory, skipped = train_regime(
+                regime, ts, store, corpus=corpus, tagged=tagged, biases=biases,
+                config=TrainingConfig(iterations=iters, smoothing_floor=smoothing),
+                skip_impossible=skip)
+        except DataError as exc:
+            return 2, None, None, [f"error: {exc}"]
+        blob = io.BytesIO()
+        save_model(model, blob)
+        return (0, blob.getvalue(), [f"{i}\t{ll:.6f}" for i, ll in enumerate(trajectory)],
+                [f"warning: skipped {skipped} impossible sentence(s)"] if skipped else [])
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(data=st.data())
+    def test_train_equals_training_on_lists(self, root, data):
+        regime = data.draw(st.sampled_from(["bias", "counted", "counted-only"]))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        sentences = st.lists(st.lists(st.sampled_from(self.PIECES), min_size=1, max_size=6),
+                             max_size=8)
+
+        def text(lines_of):
+            return "".join(end.join(lines_of(" ".join(s).split())) + end
+                           + end * data.draw(st.integers(1, 3)) for s in data.draw(sentences))
+
+        corpus = tagged = None
+        args = ["train", "--regime", regime, "--tagset", str(root / "t.tags"),
+                "--lexicon", str(root / "t.lex"), "--rules", str(root / "t.rules")]
+        if regime != "counted-only":
+            corpus = root / "corpus.txt"
+            corpus.write_bytes(text(lambda words: words).encode("utf-8"))
+            args += ["--corpus", str(corpus)]
+        if regime != "bias":
+            tagged = root / "tagged.gold"
+            tagged.write_bytes(text(lambda words: [f"{w}\t{self.GOLD[w]}" for w in words])
+                               .encode("utf-8"))
+            args += ["--tagged", str(tagged)]
+        else:
+            args += ["--biases", str(root / "t.biases")]
+        iters = 0 if regime == "counted-only" else data.draw(st.integers(1, 3))
+        smoothing = data.draw(st.sampled_from([0.0, 1e-6]))
+        skip = data.draw(st.booleans())
+        out = root / "t.model"
+        args += ["--iters", str(iters), "--smoothing", repr(smoothing), "--out", str(out)]
+        args += ["--skip-impossible"] * skip
+        span = data.draw(st.sampled_from([None, 2, 3]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "CHUNK_CELLS", data.draw(st.sampled_from([1, 5, 2 ** 15])))
+            if span:  # every sentence of more than span + 1 tokens is scanned
+                mp.setattr(model_module, "SEGMENT", span)
+                mp.setattr(model_module, "SCAN_FROM", span + 1)
+            got = self.run_cli(args, out)
+            want = self.run_lists(root, regime, corpus and str(corpus), tagged and str(tagged),
+                                  iters, smoothing, skip)
+        assert got == want
+
+    def test_each_chunk_is_laid_out_once_per_run(self, bench_dir, tmp_path, monkeypatch):
+        from hmmtagger import training
+        from hmmtagger.corpusio import read_pretokenized
+
+        calls = []
+        layout = model_module.layout
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].size)
+            return layout(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "layout", counted)
+        monkeypatch.setattr(training, "layout", counted, raising=False)
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", 200)
+        p = paths(bench_dir)
+        assert main(["train", "--regime", "bias", "--tagset", p["tags"], "--lexicon", p["lex"],
+                     "--rules", p["rules"], "--corpus", p["txt"], "--iters", "3",
+                     "--out", str(tmp_path / "m.model")]) == 0
+        model = load_model(str(tmp_path / "m.model"), load_tagset(p["tags"]))
+        lengths = [len(s) for s in read_pretokenized(p["txt"])]
+        bounds = model_module.chunk_bounds(lengths, training.e_step_kernel(model)[1])
+        assert len(bounds) > 3
+        assert calls == np.diff(bounds).tolist()  # each chunk's sentences, once
+
+
+class TestParserForOneSubcommand:
+    """``build_parser`` given a command line builds only the subcommand it
+    names; its help and usage errors are the full parser's, word for word."""
+
+    @staticmethod
+    def outcome(parser, argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                parser.parse_args(argv)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+        except cli.UsageError as exc:
+            return "usage", str(exc)
+        return ("parsed",)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["frobnicate"], ["frobnicate", "--help"],
+        ["train", "--help"], ["train", "--regime", "fancy"],
+        ["tag", "-h"], ["tag", "--model", "m"],
+        ["eval", "--help"], ["eval", "--top-k", "x"],
+        ["synth", "--help"], ["synth", "--tags", "3", "--bogus"],
+    ])
+    def test_help_and_errors_are_the_full_parsers(self, argv):
+        got = self.outcome(cli.build_parser(argv), argv)
+        assert got[0] != "parsed"
+        assert got == self.outcome(cli.build_parser(), argv)
+
+    def test_only_the_named_subcommand_is_built(self):
+        import argparse
+
+        def built(parser):
+            action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return list(action.choices)
+
+        for name in cli.SUBCOMMANDS:
+            assert built(cli.build_parser([name, "--help"])) == [name]
+        for argv in ([], ["-h"], ["frobnicate"], None):
+            assert built(cli.build_parser(argv)) == ["train", "tag", "eval", "synth"]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmmtagger.errors import ConfigError, DataError, ImpossibleSequenceError
 from hmmtagger import model as model_module
-from hmmtagger.model import (BiasSet, TransitionBias, apply_biases, chunks, membership_mask,
-                             uniform_model)
+from hmmtagger.model import (BiasSet, TransitionBias, apply_biases, chunk_bounds, chunks,
+                             membership_mask, uniform_model)
 from hmmtagger.tagset import Tag, TagSet
 from hmmtagger.training import (
     REGIME_BIAS,
@@ -20,7 +21,8 @@ from hmmtagger.training import (
     train_regime,
 )
 
-from oracles import assert_stochastic, brute_em_step, brute_posterior_stats, random_instance
+from oracles import (assert_stochastic, brute_em_step, brute_posterior_stats, plain_counted_init,
+                     random_instance)
 from test_decoder import sample_sentence
 
 
@@ -371,6 +373,30 @@ class TestPackedEStep:
             expected_counts(model, corpus, skip_impossible=True)
 
 
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(lengths=st.lists(st.integers(0, 9), max_size=30), width=st.integers(1, 4),
+           cells=st.integers(1, 40))
+    def test_chunk_bounds_are_those_of_chunks(self, lengths, width, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "CHUNK_CELLS", cells)
+            want = [first for first, _ in chunks([[0] * n for n in lengths], width)]
+            assert chunk_bounds(np.array(lengths, dtype=np.intp), width) == want + [len(lengths)]
+
+    def test_layouts_are_kept_only_for_a_later_pass(self, monkeypatch):
+        from hmmtagger.training import Corpus, _Chunks
+
+        model = prohibited_model(3, seed=1)
+        monkeypatch.setattr(model_module, "CHUNK_CELLS", 3 * e_step_kernel(model)[1])
+        chunked = _Chunks(model, Corpus.of(self.CORPUS), passes=2)
+        first = [packed for _, _, packed in chunked]
+        assert len(first) > 2 and len(chunked.kept) == len(first)
+        second = []
+        for _, _, packed in chunked:
+            second.append(packed)
+            assert len(chunked.kept) == len(first) - len(second)  # dropped once used
+        assert all(a is b for a, b in zip(first, second))
+
+
 class TestSegmentScan:
     """The E-step cut into segments (``model.SEGMENT``, L), here wherever
     a sentence has more than L + 1 tokens."""
@@ -524,6 +550,50 @@ class TestCountedInit:
             counted_init([[(0, 0), (1, 1)]], tiny_tagset(3), classes)
         with pytest.raises(ConfigError, match=message):
             uniform_model(tiny_tagset(3), classes)
+
+    # the kinds of bad id, each drawn for a tag or for a class id
+    BAD_IDS = [True, np.True_, 1.0, np.float64(0), "T0", -1, 2 ** 70]
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(data=st.data())
+    def test_equals_counting_one_token_at_a_time(self, data):
+        # the model bit for bit, or the same error for the first bad token
+        n = data.draw(st.integers(1, 4))
+        extra = data.draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=2),
+                                   max_size=3, unique=True) if n > 1 else st.just([]))
+        classes = [(t,) for t in range(n)] + [tuple(sorted(c)) for c in extra]
+        classes = data.draw(st.permutations(classes))
+        m = len(classes)
+        pair = st.integers(0, m - 1).flatmap(
+            lambda c: st.tuples(st.sampled_from(classes[c]), st.just(c)))
+        tagged = data.draw(st.lists(st.lists(pair, max_size=5), max_size=6))
+        kind = data.draw(st.sampled_from(["none", "tag", "class", "member", "numpy"]))
+        tokens = [(s, t) for s, sentence in enumerate(tagged) for t in range(len(sentence))]
+        if kind != "none" and tokens:
+            s, t = data.draw(st.sampled_from(tokens))
+            tag, class_id = tagged[s][t]
+            if kind == "tag":
+                tag = data.draw(st.sampled_from(self.BAD_IDS + [n]))
+            elif kind == "class":
+                class_id = data.draw(st.sampled_from(self.BAD_IDS + [m]))
+            elif kind == "member":
+                outside = [c for c in range(m) if tag not in classes[c]]
+                class_id = data.draw(st.sampled_from(outside)) if outside else class_id
+            else:  # numpy integers are good ids
+                tag, class_id = np.int64(tag), np.uint8(class_id)
+            tagged[s][t] = (tag, class_id)
+        floor = data.draw(st.sampled_from([0.0, 1e-6]))
+        ts = tiny_tagset(n)
+        try:
+            want = plain_counted_init(tagged, ts, classes, floor)
+        except DataError as exc:
+            with pytest.raises(DataError) as error:
+                counted_init(tagged, ts, classes, floor)
+            assert (type(error.value), str(error.value)) == (type(exc), str(exc))
+            return
+        got = counted_init(tagged, ts, classes, floor)
+        for table in ("initial", "transition", "emission"):
+            assert getattr(got, table).tobytes() == getattr(want, table).tobytes(), table
 
     def test_recovers_generator_within_tolerance(self):
         # sample a corpus from known parameters; counted frequencies converge
